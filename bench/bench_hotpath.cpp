@@ -17,14 +17,6 @@
 //   bench_hotpath --profile               # also write a per-cell engine
 //                                         # profile (mcm.prof_set/v1) next to
 //                                         # the JSON output, for mcm_prof
-//   bench_hotpath --simd off              # re-run every cell with MCM_SIMD=off
-//                                         # as a "/scalar" twin and record the
-//                                         # vector-vs-scalar ratio
-//
-// Every cell is stamped with the compile-time ISA (simd_compiled), the
-// runtime dispatch choice sampled during the run (simd_active), and the
-// frame-allocator mode (allocator: arena|heap, from MCM_ARENA), so a
-// baseline JSON is self-describing about which kernels produced it.
 //
 // The tolerance can also come from MCM_PERF_TOLERANCE. Baseline numbers are
 // machine-dependent: refresh them (docs/performance.md, "Updating the perf
@@ -38,8 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
-#include "controller/soa_kernels.hpp"
 #include "core/experiments.hpp"
 #include "load/trace.hpp"
 #include "obs/json.hpp"
@@ -155,20 +145,8 @@ struct CellResult {
   double wall_ms_mean = 0;
   double requests_per_s = 0;
   double simt_speedup = 0;  // rps / 1-worker twin's rps; 0 = not in a sweep
-  double simd_speedup = 0;  // vector twin's rps / this scalar twin's rps
-  std::string simd_active;  // runtime dispatch sampled for this run
-  std::string allocator;    // "arena" | "heap" (MCM_ARENA)
-  std::string simd_mode;    // twin-pass tag; "" = default environment
   obs::JsonValue profile;  // mcm.prof/v1 doc when --profile, else null
 };
-
-/// Stamp the kernel/allocator provenance for the run about to happen. The
-/// dispatch is sampled per controller construction, so this reflects the
-/// MCM_SIMD environment in force for this cell.
-void stamp_modes(CellResult& r) {
-  r.simd_active = std::string(ctrl::kernels::to_string(ctrl::kernels::active_level()));
-  r.allocator = common::arena_enabled() ? "arena" : "heap";
-}
 
 double now_ms() {
   using clock = std::chrono::steady_clock;
@@ -189,7 +167,6 @@ CellResult run_workload_cell(const Cell& cell, double min_time_ms, int min_iters
     std::snprintf(label, sizeof label, "%s/%uch", cell.workload, cell.channels);
     r.label = label;
   }
-  stamp_modes(r);
 
   // Warm-up run: populates the stream cache (compilation is memoized, so
   // the timed loop measures the engine, like the video cells).
@@ -257,7 +234,6 @@ CellResult run_cell(const core::ExperimentConfig& base, const Cell& cell,
     }
     r.label = label;
   }
-  stamp_modes(r);
 
   // Warm-up run (page cache, allocator) that also yields the request count.
   {
@@ -351,7 +327,6 @@ int main(int argc, char** argv) {
   bool profile = false;
   std::vector<unsigned> sweep_workers = {1, 2, 4};
   double assert_speedup = 0;  // 0 = no assertion
-  bool simd_twin = false;     // --simd off: add a forced-scalar twin pass
 
   if (const char* env = std::getenv("MCM_PERF_TOLERANCE")) {
     tolerance = std::strtod(env, nullptr);
@@ -392,15 +367,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--assert-speedup") == 0 && i + 1 < argc) {
       assert_speedup = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
-      const char* mode = argv[++i];
-      if (std::strcmp(mode, "off") != 0 && std::strcmp(mode, "scalar") != 0) {
-        std::fprintf(stderr,
-                     "--simd wants 'off' (run forced-scalar /scalar twins "
-                     "next to the default pass)\n");
-        return 2;
-      }
-      simd_twin = true;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
       return 2;
@@ -455,52 +421,21 @@ int main(int argc, char** argv) {
   auto& arr = root["cells"];
   arr = obs::JsonValue::array();
 
-  // Pass list: the default environment first, then (with --simd off) the
-  // forced-scalar twin pass. MCM_SIMD is sampled at controller construction,
-  // so flipping it between passes re-runs the same cells through the scalar
-  // kernels; twins get a "/scalar" label suffix and a simd_speedup ratio
-  // against their vector counterpart.
-  struct Pass {
-    const char* mode;    // MCM_SIMD value to force; nullptr = leave alone
-    const char* suffix;  // label suffix for this pass's cells
-  };
-  std::vector<Pass> passes = {{nullptr, ""}};
-  if (simd_twin) passes.push_back({"off", "/scalar"});
-
   std::vector<CellResult> results;
-  for (const auto& pass : passes) {
-    if (pass.mode != nullptr) setenv("MCM_SIMD", pass.mode, 1);
-    for (const auto& cell : cells) {
+  for (const auto& cell : cells) {
     CellResult r = run_cell(cfg, cell, min_time_ms, min_iters, profile);
-    r.simd_mode = pass.mode == nullptr ? "" : pass.mode;
-    r.label += pass.suffix;
     if (cell.sweep) {
       // Speedup vs the 1-worker twin (sweeps list workers ascending, so the
       // base twin has already run; 0 when the sweep list omits worker 1).
-      // Match within the same pass only: a scalar sweep twin compares to the
-      // scalar 1-worker run, not the vector one.
       for (const auto& prev : results) {
         if (prev.sim_threads == 1 && prev.channels == r.channels &&
-            prev.level_name == r.level_name && prev.simd_mode == r.simd_mode) {
+            prev.level_name == r.level_name) {
           r.simt_speedup = prev.requests_per_s > 0
                                ? r.requests_per_s / prev.requests_per_s
                                : 0.0;
         }
       }
       if (r.sim_threads == 1) r.simt_speedup = 1.0;
-    }
-    if (pass.mode != nullptr) {
-      // Vector-vs-scalar ratio against the default-pass cell of the same
-      // label (minus the twin suffix).
-      const std::string base_label =
-          r.label.substr(0, r.label.size() - std::strlen(pass.suffix));
-      for (const auto& prev : results) {
-        if (prev.simd_mode.empty() && prev.label == base_label) {
-          r.simd_speedup = r.requests_per_s > 0
-                               ? prev.requests_per_s / r.requests_per_s
-                               : 0.0;
-        }
-      }
     }
     if (r.simt_speedup > 0) {
       std::printf("%-22s %10llu %6d %12.2f %12.2f %14.0f %7.2fx\n",
@@ -524,21 +459,8 @@ int main(int argc, char** argv) {
     c["wall_ms_mean"] = r.wall_ms_mean;
     c["requests_per_s"] = r.requests_per_s;
     if (r.simt_speedup > 0) c["simt_speedup"] = r.simt_speedup;
-    if (r.simd_speedup > 0) c["simd_speedup"] = r.simd_speedup;
-    c["simd_compiled"] = std::string(ctrl::kernels::compiled_isa());
-    c["simd_active"] = r.simd_active;
-    c["allocator"] = r.allocator;
     arr.push(std::move(c));
     results.push_back(std::move(r));
-    }
-  }
-  if (simd_twin) {
-    std::printf("\nscalar-vs-vector (vector rps / scalar rps):\n");
-    for (const auto& r : results) {
-      if (r.simd_speedup > 0) {
-        std::printf("  %-22s %.2fx\n", r.label.c_str(), r.simd_speedup);
-      }
-    }
   }
 
   if (update) {

@@ -17,7 +17,7 @@
 #include "core/experiments.hpp"
 #include "core/result_export.hpp"
 #include "explore/orchestrator.hpp"
-#include "explore/thread_pool.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/run_report.hpp"
 #include "xdr/xdr_model.hpp"
 
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       fast ? explore::Engine::kAnalytic : explore::Engine::kSimulator;
   std::printf("Generating %s (%s engine, %u threads)...\n", path,
               fast ? "analytic" : "transaction-level",
-              explore::ThreadPool::resolve_thread_count(threads));
+              exec::ThreadPool::resolve_thread_count(threads));
 
   // Run both figure grids through the parallel engine up front; the tables
   // below just read cells.
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   obs::RunReport report("paper_report");
   core::export_config(report.config(), base.base, base.usecase);
   report.config()["engine"] = fast ? "analytic" : "transaction-level";
-  report.config()["threads"] = explore::ThreadPool::resolve_thread_count(threads);
+  report.config()["threads"] = exec::ThreadPool::resolve_thread_count(threads);
 
   out << "# Reproduction report\n\n"
       << "Engine: " << (fast ? "analytic estimator (+/-20 %)" : "transaction-level simulator")

@@ -26,7 +26,7 @@ cmake --build "$build_dir" -j "$(nproc)"
 if [ "$mode" = "thread" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   # The suites that exercise real multi-threading: the channel-sharded
-  # engine at 1/2/8 workers (per-request and epoch-batched speculative
+  # engine at 1/2/8 workers (single-worker and epoch-batched speculative
   # paths, including forced rollbacks), the sharded-vs-legacy equivalence
   # runs, the memoized stream cache, the exploration pool, the metrics
   # registry under concurrent registration, and the profiler's cross-thread
@@ -37,10 +37,4 @@ else
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-  # Second pass over the scheduling/kernel suites with the SoA arbitration
-  # dispatch forced scalar, so the scalar reference loop (not just the AVX2
-  # kernel the CPU picks by default) runs under ASan+UBSan. The arena
-  # suites ride along for the heap/arena placement paths.
-  MCM_SIMD=off ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-    -R "SimdEquivalence|ArenaEquivalence|FrameArena|FastpathEquivalence|RequestQueue|MemoryController|DeviceClass|HeteroDifferential|HeteroReport"
 fi

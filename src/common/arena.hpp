@@ -1,167 +1,10 @@
-// Frame-scoped arena allocator for the simulator's per-frame scratch: the
-// stage traffic sources rebuilt every frame on the legacy feed path and the
-// per-channel trace spools. A frame's worth of objects is carved out of a
-// handful of large blocks with a bump pointer; reset() rewinds the arena
-// between frames, *retaining* the blocks, so steady-state frames perform
-// zero heap traffic — the classic data-oriented discipline of reset-not-free
-// (see docs/performance.md, "Data-oriented kernels").
-//
-// Two front ends share the same storage:
-//   - create<T>(...) placement-constructs an object and (for non-trivially
-//     destructible types) registers a finalizer that reset() and the
-//     destructor run in reverse creation order;
-//   - the arena is a std::pmr::memory_resource, so pmr containers (the trace
-//     spools' event vectors) can draw from it directly. Deallocation is a
-//     no-op by design: a frame's garbage is reclaimed wholesale at reset().
-//
-// Allocations larger than the block size get a dedicated block (the
-// "oversized frame" growth path); it is retained across resets like any
-// other block, so a one-off giant frame only pays its allocation once.
+// Allocation provenance for the benchmark stamp: the simulator allocates
+// from the heap only.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <memory>
-#include <memory_resource>
-#include <new>
-#include <string_view>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace mcm::common {
 
-class FrameArena final : public std::pmr::memory_resource {
- public:
-  static constexpr std::size_t kDefaultBlockBytes = 64 * 1024;
-
-  explicit FrameArena(std::size_t block_bytes = kDefaultBlockBytes)
-      : block_bytes_(block_bytes == 0 ? kDefaultBlockBytes : block_bytes) {}
-
-  FrameArena(const FrameArena&) = delete;
-  FrameArena& operator=(const FrameArena&) = delete;
-
-  ~FrameArena() override { run_finalizers(); }
-
-  /// Bump-allocate `bytes` aligned to `align`. Never returns nullptr
-  /// (throws std::bad_alloc on exhaustion, like operator new).
-  void* allocate_bytes(std::size_t bytes, std::size_t align) {
-    if (bytes == 0) bytes = 1;
-    while (current_ < blocks_.size()) {
-      Block& b = blocks_[current_];
-      // Align the actual address, not the offset: operator new[] only
-      // guarantees max_align for the block base.
-      const auto base = reinterpret_cast<std::uintptr_t>(b.mem.get());
-      const std::size_t aligned = align_up(base + b.used, align) - base;
-      if (aligned + bytes <= b.size) {
-        b.used = aligned + bytes;
-        live_bytes_ += bytes;
-        return b.mem.get() + aligned;
-      }
-      ++current_;
-    }
-    // No retained block fits: grow. Oversized requests get a block sized
-    // exactly for them (plus alignment slack) so the normal block size
-    // still governs the steady state.
-    const std::size_t want = bytes + align;
-    Block b;
-    b.size = want > block_bytes_ ? want : block_bytes_;
-    b.mem = std::make_unique<std::byte[]>(b.size);
-    blocks_.push_back(std::move(b));
-    current_ = blocks_.size() - 1;
-    Block& nb = blocks_.back();
-    const auto base = reinterpret_cast<std::uintptr_t>(nb.mem.get());
-    const std::size_t aligned = align_up(base, align) - base;
-    nb.used = aligned + bytes;
-    live_bytes_ += bytes;
-    return nb.mem.get() + aligned;
-  }
-
-  /// Placement-construct a T in the arena. Non-trivially-destructible types
-  /// register a finalizer; reset() (and the arena's destructor) run the
-  /// finalizers in reverse creation order before rewinding storage.
-  template <class T, class... Args>
-  T* create(Args&&... args) {
-    void* mem = allocate_bytes(sizeof(T), alignof(T));
-    T* obj = new (mem) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      finalizers_.push_back(Finalizer{
-          obj, [](void* p) { static_cast<T*>(p)->~T(); }});
-    }
-    return obj;
-  }
-
-  /// Rewind the arena: destroy registered objects (newest first), then mark
-  /// every retained block empty. No memory is returned to the heap — the
-  /// next frame reuses the same blocks.
-  void reset() {
-    run_finalizers();
-    for (Block& b : blocks_) b.used = 0;
-    current_ = 0;
-    live_bytes_ = 0;
-    ++resets_;
-  }
-
-  [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
-  [[nodiscard]] std::size_t live_bytes() const { return live_bytes_; }
-  [[nodiscard]] std::uint64_t resets() const { return resets_; }
-  [[nodiscard]] std::size_t capacity_bytes() const {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.size;
-    return total;
-  }
-
- private:
-  struct Block {
-    std::unique_ptr<std::byte[]> mem;
-    std::size_t size = 0;
-    std::size_t used = 0;
-  };
-  struct Finalizer {
-    void* obj;
-    void (*fn)(void*);
-  };
-
-  static std::size_t align_up(std::size_t v, std::size_t a) {
-    return (v + a - 1) & ~(a - 1);
-  }
-
-  void run_finalizers() {
-    while (!finalizers_.empty()) {
-      const Finalizer f = finalizers_.back();
-      finalizers_.pop_back();
-      f.fn(f.obj);
-    }
-  }
-
-  // std::pmr::memory_resource: pmr containers bump-allocate here;
-  // per-object deallocation is deliberately a no-op (reclaimed at reset()).
-  void* do_allocate(std::size_t bytes, std::size_t align) override {
-    return allocate_bytes(bytes, align);
-  }
-  void do_deallocate(void*, std::size_t, std::size_t) override {}
-  [[nodiscard]] bool do_is_equal(
-      const std::pmr::memory_resource& other) const noexcept override {
-    return this == &other;
-  }
-
-  std::size_t block_bytes_;
-  std::vector<Block> blocks_;
-  std::size_t current_ = 0;    // first block with possible free space
-  std::size_t live_bytes_ = 0;
-  std::uint64_t resets_ = 0;
-  std::vector<Finalizer> finalizers_;
-};
-
-/// MCM_ARENA=off|0|heap disables the frame arenas at runtime (objects fall
-/// back to the heap); anything else — including unset — enables them. The
-/// bench harness stamps this mode into its cells.
-[[nodiscard]] inline bool arena_enabled() {
-  const char* env = std::getenv("MCM_ARENA");
-  if (env == nullptr) return true;
-  const std::string_view v(env);
-  return !(v == "off" || v == "OFF" || v == "0" || v == "heap");
-}
+// The benchmark stamp (perfbench/src/main.cpp) is the only caller.
+[[nodiscard]] constexpr bool arena_enabled() { return false; }
 
 }  // namespace mcm::common

@@ -52,8 +52,9 @@ struct FrameSimOptions {
   unsigned sim_threads = 0;
 
   /// Positions per speculative chunk for the epoch-batched sharded engine
-  /// (0 = MCM_SIM_CHUNK, then the engine default; 1 forces the per-request
-  /// protocol). Results are byte-identical at every setting.
+  /// (0 = MCM_SIM_CHUNK, then the engine default of 4096). Chunk 1 cannot
+  /// speculate, so it runs on one worker whatever sim_threads asks for.
+  /// Results are byte-identical at every setting.
   unsigned sim_chunk = 0;
 
   /// Force the historical sequential feed loop instead of the sharded

@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -18,12 +18,6 @@
 
 namespace mcm::core {
 namespace {
-
-// Threshold ring capacity. Thresholds addressed to a channel are folded
-// into a running max by the owning worker every time it polls the cursor,
-// so the ring only holds the few entries published while the owner is busy
-// serving its own channels; 256 is orders of magnitude above that.
-constexpr std::uint32_t kRingCap = 256;
 
 // Positions per speculative chunk when neither the caller nor MCM_SIM_CHUNK
 // chooses: big enough that the 2-3 chunk barriers amortize to noise against
@@ -37,25 +31,18 @@ constexpr unsigned kDefaultSimChunk = 4096;
 constexpr unsigned kEpochChunks = 8;
 
 // Genuine rollbacks tolerated per segment before the rest of the segment
-// falls back to the per-request protocol (adaptive kill switch; a pure
-// function of deterministic state, so it cannot break determinism).
+// is replayed serially (adaptive kill switch; a pure function of
+// deterministic state, so it cannot break determinism).
 constexpr unsigned kMaxRollbacksPerSegment = 8;
 
 constexpr std::uint64_t kNoDivergence =
     std::numeric_limits<std::uint64_t>::max();
 
-// MCM_SIM_SPEC: "off"/"0" disables chunked speculation (per-request
-// protocol), "rollback" forces a rollback at every speculative chunk (test
-// knob: results must stay byte-identical), anything else = on.
-enum class SpecMode { kOn, kOff, kForceRollback };
-
-SpecMode spec_mode_from_env() {
+// MCM_SIM_SPEC=rollback forces a rollback at every speculative chunk (test
+// knob: results must stay byte-identical); any other value is ignored.
+bool force_rollback_from_env() {
   const char* env = std::getenv("MCM_SIM_SPEC");
-  if (env == nullptr || *env == '\0') return SpecMode::kOn;
-  const std::string v(env);
-  if (v == "off" || v == "OFF" || v == "0") return SpecMode::kOff;
-  if (v == "rollback") return SpecMode::kForceRollback;
-  return SpecMode::kOn;
+  return env != nullptr && std::string_view(env) == "rollback";
 }
 
 /// Strict (horizon, channel) order — the sequential engine's channel-select
@@ -65,30 +52,20 @@ bool key_less(std::int64_t ha, std::uint32_t ia, std::int64_t hb,
   return ha < hb || (ha == hb && ia < ib);
 }
 
+// Per-channel engine state. Only the channel's owning worker touches it
+// between barriers; the serial steps (synchronized against every worker)
+// reset and roll it back.
 struct alignas(64) ChanState {
-  struct Entry {
-    std::int64_t h_ps = 0;
-    std::uint32_t idx = 0;
-  };
-  // SPSC by construction: producers are serialized by cursor ownership
-  // (publishing happens strictly before the cursor bump, so the next
-  // producer's cursor acquire sees all prior ring writes); the single
-  // consumer is the worker that owns this channel.
-  Entry ring[kRingCap];
-  std::atomic<std::uint64_t> published{0};
-  std::atomic<std::uint64_t> consumed{0};
-
-  // Consumer-local state (also reset by the barrier's serial step, which
-  // is synchronized against every worker).
+  // Pending threshold: the max of the bounds published since the channel's
+  // previous position.
   std::int64_t tmax_ps = 0;
   std::uint32_t tmax_idx = 0;
   bool tmax_valid = false;
   std::uint64_t routed = 0;
 
-  // Chunked mode only (owner-local, barrier-synchronized): next unconsumed
-  // index into ChunkMeta::pos_of for this channel, and the exit threshold
-  // the validation walk computed for the current chunk (promoted to tmax
-  // on commit, discarded on rollback).
+  // Chunked mode only: next unconsumed index into ChunkMeta::pos_of for
+  // this channel, and the exit threshold the validation walk computed for
+  // the current chunk (promoted to tmax on commit, discarded on rollback).
   std::uint32_t meta_idx = 0;
   std::int64_t exit_ps = 0;
   std::uint32_t exit_idx = 0;
@@ -104,12 +81,8 @@ struct WorkerProf {
   bool on = false;
   obs::prof::PhaseId feed{};        // main-loop wall per segment (incl. waits)
   obs::prof::PhaseId drain{};       // stage-barrier drain wall per segment
-  obs::prof::PhaseId handoff{};     // cursor-handoff wait episodes
-  obs::prof::PhaseId ring_full{};   // SPSC threshold-ring full stalls
-  obs::prof::PhaseId barrier{};     // segment-barrier wait
+  obs::prof::PhaseId barrier{};     // segment/chunk-barrier wait
   obs::prof::PhaseId retired{};     // completions popped by this worker
-  obs::prof::PhaseId folded{};      // thresholds folded from rings
-  obs::prof::PhaseId occupancy{};   // ring occupancy sampled at publish
   obs::prof::PhaseId speculate{};   // chunked: speculative execution wall
   obs::prof::PhaseId validate{};    // chunked: validation walk wall
   obs::prof::PhaseId snapshot{};    // chunked: epoch snapshot wall
@@ -128,12 +101,8 @@ WorkerProf make_worker_prof(unsigned w) {
   };
   p.feed = id("feed");
   p.drain = id("drain");
-  p.handoff = id("handoff_wait");
-  p.ring_full = id("ring_full_wait");
   p.barrier = id("barrier_wait");
   p.retired = id("retired");
-  p.folded = id("thresholds_folded");
-  p.occupancy = id("ring_occupancy");
   p.speculate = id("speculate");
   p.validate = id("validate");
   p.snapshot = id("snapshot");
@@ -159,7 +128,6 @@ struct Shared {
   Time period = Time::zero();
   unsigned workers = 1;
 
-  std::atomic<std::uint64_t> cursor{0};
   std::atomic<unsigned> arrived{0};
   std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> failed{false};
@@ -181,7 +149,7 @@ struct Shared {
   // ---- Chunked (epoch-batched) mode ----
   bool chunked = false;
   unsigned chunk = 0;  // max positions per speculative chunk
-  SpecMode spec_mode = SpecMode::kOn;
+  bool force_rollback = false;
   std::vector<std::shared_ptr<const load::ChunkMeta>> metas;  // per segment
   std::size_t seg_index = 0;  // segment the chunk serial steps operate on
 
@@ -244,50 +212,13 @@ void spin_pause(unsigned& spins, bool oversubscribed) {
 
 void stage_next_chunk(Shared& sh, std::uint64_t begin, std::uint64_t n);
 
-/// Max-merge one threshold into the channel's pending bound (only the
-/// channel's owning worker may call this - tmax is consumer-private).
+/// Max-merge one threshold into the channel's pending bound.
 void fold_threshold(ChanState& st, std::int64_t h_ps, std::uint32_t idx) {
   if (!st.tmax_valid || key_less(st.tmax_ps, st.tmax_idx, h_ps, idx)) {
     st.tmax_ps = h_ps;
     st.tmax_idx = idx;
     st.tmax_valid = true;
   }
-}
-
-/// Fold every published-but-unconsumed threshold into the channel's max.
-/// Returns the number of thresholds folded (0 on the common empty path).
-std::uint64_t drain_ring(ChanState& st) {
-  const std::uint64_t pub = st.published.load(std::memory_order_acquire);
-  std::uint64_t con = st.consumed.load(std::memory_order_relaxed);
-  if (con == pub) return 0;
-  const std::uint64_t folded = pub - con;
-  do {
-    const ChanState::Entry& e = st.ring[con % kRingCap];
-    fold_threshold(st, e.h_ps, e.idx);
-  } while (++con < pub);
-  st.consumed.store(con, std::memory_order_release);
-  return folded;
-}
-
-/// When `stall_ns` is non-null (profiling), full-ring producer stalls are
-/// accumulated there; `*stalls` counts the episodes.
-void publish(Shared& sh, ChanState& dst, std::int64_t h_ps, std::uint32_t idx,
-             std::int64_t* stall_ns, std::uint64_t* stalls) {
-  const std::uint64_t pub = dst.published.load(std::memory_order_relaxed);
-  if (pub - dst.consumed.load(std::memory_order_acquire) >= kRingCap) {
-    const std::int64_t t0 = stall_ns != nullptr ? obs::prof::now_ns() : 0;
-    unsigned spins = 0;
-    do {
-      if (sh.failed.load(std::memory_order_relaxed)) return;
-      spin_pause(spins, sh.oversubscribed);  // the consumer drains on every cursor poll
-    } while (pub - dst.consumed.load(std::memory_order_acquire) >= kRingCap);
-    if (stall_ns != nullptr) {
-      *stall_ns += obs::prof::now_ns() - t0;
-      ++*stalls;
-    }
-  }
-  dst.ring[pub % kRingCap] = ChanState::Entry{h_ps, idx};
-  dst.published.store(pub + 1, std::memory_order_release);
 }
 
 /// The serial step the last barrier arriver runs after segment `i`: merge
@@ -318,10 +249,7 @@ void serial_step(Shared& sh, std::size_t i) {
       sh.stage_start = sh.t;
     }
     sh.arrival = sh.stage_start;
-    sh.cursor.store(0, std::memory_order_relaxed);
     for (ChanState& st : sh.chans) {
-      st.published.store(0, std::memory_order_relaxed);
-      st.consumed.store(0, std::memory_order_relaxed);
       st.tmax_valid = false;
       st.meta_idx = 0;
     }
@@ -368,142 +296,10 @@ bool barrier(Shared& sh, std::size_t i, const WorkerProf& wp) {
   return !sh.failed.load(std::memory_order_relaxed);
 }
 
-void run_segment(Shared& sh, const Segment& s, unsigned w,
-                 const WorkerProf& wp) {
-  const std::uint64_t n = s.stage->reqs.size();
-  const std::uint64_t* reqs = s.stage->reqs.data();
-  const std::uint32_t channels = sh.sys.channel_count();
-  const unsigned T = sh.workers;
-  const Time arr = sh.arrival;
-  const std::uint16_t sid = s.stage->source_id;
-  // Completion maxima already committed this segment (only relevant when
-  // entered as the mid-segment fallback of the chunked mode; between
-  // segments every slot is <= arr).
-  Time local_done = max(arr, sh.slot_last_done[w]);
-
-  // Profiling accumulators, flushed once per segment. Timing the handoff
-  // wait costs two clock reads per *episode* (an unbroken run of non-owned
-  // positions), never per request; with one worker no episode ever starts.
-  const bool pon = wp.on;
-  const std::int64_t t_feed0 = pon ? obs::prof::now_ns() : 0;
-  std::int64_t handoff_wait_t0 = 0;
-  bool handoff_waiting = false;
-  std::int64_t ring_stall_ns = 0;
-  std::uint64_t ring_stalls = 0;
-  std::uint64_t retired = 0;
-  std::uint64_t folded = 0;
-
-  const auto pop = [&](channel::Channel& ch) {
-    const auto c = ch.process_one();
-    local_done = max(local_done, c.done);
-    retired += static_cast<std::uint64_t>(pon);
-  };
-
-  unsigned spins = 0;
-  while (!sh.failed.load(std::memory_order_relaxed)) {
-    const std::uint64_t p = sh.cursor.load(std::memory_order_acquire);
-    if (p >= n) break;
-    const std::uint64_t packed = reqs[p];
-    const auto routed = sh.il.route(load::CachedStage::addr_of(packed));
-    const std::uint32_t c = routed.channel;
-    if (c % T != w) {
-      // Not ours: keep our channels' thresholds folded and wait.
-      if (pon && !handoff_waiting) {
-        handoff_waiting = true;
-        handoff_wait_t0 = obs::prof::now_ns();
-      }
-      for (std::uint32_t k = w; k < channels; k += T) {
-        folded += drain_ring(sh.chans[k]);
-      }
-      spin_pause(spins, sh.oversubscribed);
-      continue;
-    }
-    if (handoff_waiting) {
-      obs::prof::tally(wp.handoff, obs::prof::now_ns() - handoff_wait_t0);
-      handoff_waiting = false;
-    }
-    channel::Channel& ch = sh.sys.channel(c);
-    ChanState& st = sh.chans[c];
-    folded += drain_ring(st);
-    if (st.tmax_valid) {
-      while (ch.has_pending() &&
-             key_less(ch.horizon().ps(), c, st.tmax_ps, st.tmax_idx)) {
-        pop(ch);
-      }
-      st.tmax_valid = false;
-    }
-    const bool was_full = !ch.can_accept();
-    if (was_full) {
-      // Threshold = pre-pop horizon: the sequential stall serves other
-      // channels up to (h_j, j) *before* serving j itself.
-      const std::int64_t hj = ch.horizon().ps();
-      for (std::uint32_t k = 0; k < channels; ++k) {
-        if (k == c) continue;
-        if (k % T == w) {
-          // Our own channel: we are its only consumer, and we would never
-          // poll its ring while we hold the cursor - fold directly (after
-          // the ring, to keep thresholds max-merged with any cross-worker
-          // ones already queued).
-          folded += drain_ring(sh.chans[k]);
-          fold_threshold(sh.chans[k], hj, c);
-        } else {
-          if (pon) {
-            const ChanState& dst = sh.chans[k];
-            obs::prof::value(
-                wp.occupancy,
-                static_cast<std::int64_t>(
-                    dst.published.load(std::memory_order_relaxed) -
-                    dst.consumed.load(std::memory_order_relaxed)));
-          }
-          publish(sh, sh.chans[k], hj, c, pon ? &ring_stall_ns : nullptr,
-                  &ring_stalls);
-        }
-      }
-    }
-    // Release the position: everything below only touches channel c.
-    sh.cursor.store(p + 1, std::memory_order_release);
-    if (was_full) pop(ch);
-    ctrl::Request r;
-    r.addr = routed.local;
-    r.is_write = load::CachedStage::is_write_of(packed);
-    r.arrival = arr;
-    r.source = sid;
-    ch.enqueue(r);
-    ++st.routed;
-  }
-  if (handoff_waiting) {
-    obs::prof::tally(wp.handoff, obs::prof::now_ns() - handoff_wait_t0);
-  }
-
-  const std::int64_t t_drain0 = pon ? obs::prof::now_ns() : 0;
-  // Stage barrier: drain owned channels to empty. All enqueues into our
-  // channels happened on this worker, and trailing thresholds are subsumed
-  // by the full drain.
-  for (std::uint32_t c = w; c < channels; c += T) {
-    sh.chans[c].tmax_valid = false;
-    channel::Channel& ch = sh.sys.channel(c);
-    while (ch.has_pending()) pop(ch);
-  }
-  sh.slot_last_done[w] = local_done;
-
-  if (pon) {
-    const std::int64_t t_end = obs::prof::now_ns();
-    obs::prof::tally(wp.feed, t_drain0 - t_feed0);
-    obs::prof::tally(wp.drain, t_end - t_drain0);
-    if (ring_stalls > 0) obs::prof::tally(wp.ring_full, ring_stall_ns, ring_stalls);
-    if (retired > 0) obs::prof::count(wp.retired, retired);
-    if (folded > 0) obs::prof::count(wp.folded, folded);
-  }
-}
-
-/// run_segment specialized for a single worker: the same service order with
-/// the concurrency machinery dissolved. One worker owns every channel and
-/// every position, so the cursor needs no atomics, the threshold rings can
-/// never hold anything (cross-worker publishes are the only producers) and
-/// the handoff wait can never start. What remains is the sequential
-/// reference loop itself: route, serve entry thresholds, pop on a full
-/// queue, enqueue. Single-threaded runs (the common CLI default) skip every
-/// acquire/release and ring poll per request.
+/// The threshold protocol on one worker, which owns every channel and every
+/// position: route, serve the pending threshold, publish and pop on a full
+/// queue, enqueue. Runs whenever the chunked mode cannot (one worker,
+/// chunk 1, more than 255 channels, or a non-rewindable trace writer).
 void run_segment_single(Shared& sh, const Segment& s, const WorkerProf& wp) {
   const std::uint64_t n = s.stage->reqs.size();
   const std::uint64_t* reqs = s.stage->reqs.data();
@@ -553,7 +349,6 @@ void run_segment_single(Shared& sh, const Segment& s, const WorkerProf& wp) {
     ch.enqueue(r);
     ++st.routed;
   }
-  sh.cursor.store(n, std::memory_order_relaxed);  // keep the shared cursor honest
 
   const std::int64_t t_drain0 = pon ? obs::prof::now_ns() : 0;
   for (std::uint32_t c = 0; c < channels; ++c) {
@@ -656,7 +451,7 @@ void snapshot_own(Shared& sh, unsigned w, const WorkerProf& wp) {
 
 /// Speculative execution of channel `c`'s positions in [a, b). Entry
 /// thresholds (published by earlier chunks) apply at the first own
-/// position, exactly as the per-request protocol would; thresholds
+/// position, exactly as the serial protocol would; thresholds
 /// published *inside* the chunk are assumed not to bind — the validation
 /// walk checks that assumption. In a proven window no queue can fill, so
 /// the records are skipped and tmax commits immediately.
@@ -754,7 +549,7 @@ void validate_channel(Shared& sh, const load::ChunkMeta& meta, std::uint32_t c,
 }
 
 /// Replay stream range [a, b) of the current segment single-threaded with
-/// the exact per-request protocol, folding completion times into worker
+/// the exact threshold protocol, folding completion times into worker
 /// slot 0. Requires channel state that is protocol-exact at position a.
 void replay_serial_range(Shared& sh, std::uint64_t a, std::uint64_t b) {
   const Segment& s = sh.segments[sh.seg_index];
@@ -796,7 +591,7 @@ void replay_serial_range(Shared& sh, std::uint64_t a, std::uint64_t b) {
 }
 
 /// Serial rollback: restore the epoch snapshot, replay [epoch_begin, b)
-/// with the exact per-request protocol single-threaded, then re-snapshot
+/// with the exact threshold protocol single-threaded, then re-snapshot
 /// at b so replayed (protocol-exact) state is never rolled back again.
 void rollback_and_replay(Shared& sh, std::uint64_t b) {
   const load::ChunkMeta& meta = *sh.metas[sh.seg_index];
@@ -855,7 +650,7 @@ void serial_chunk_step(Shared& sh) {
       sh.div_min[w] = kNoDivergence;
     }
     const bool genuine = div != kNoDivergence;
-    if (genuine || sh.spec_mode == SpecMode::kForceRollback) {
+    if (genuine || sh.force_rollback) {
       static const obs::prof::PhaseId kRollback =
           obs::prof::phase_id("engine/rollback");
       const bool pon = obs::prof::enabled();
@@ -865,8 +660,8 @@ void serial_chunk_step(Shared& sh) {
       sh.rolled_back = true;
       if (genuine && ++sh.segment_rollbacks >= kMaxRollbacksPerSegment) {
         // Speculation keeps diverging on this segment: finish it serially
-        // right here with the exact protocol (far cheaper than the
-        // per-request handoff loop) and let the workers drop to the drain.
+        // right here with the exact protocol and let the workers drop to
+        // the drain.
         sh.spec_killed = true;
         replay_serial_range(sh, b, n);
         sh.chunk_begin = n;
@@ -995,10 +790,8 @@ void run_worker(Shared& sh, unsigned w) {
     for (std::size_t i = 0; i < sh.segments.size(); ++i) {
       if (sh.chunked) {
         run_segment_chunked(sh, sh.segments[i], w, wp);
-      } else if (sh.workers == 1) {
-        run_segment_single(sh, sh.segments[i], wp);
       } else {
-        run_segment(sh, sh.segments[i], w, wp);
+        run_segment_single(sh, sh.segments[i], wp);
       }
       if (!barrier(sh, i, wp)) return;
     }
@@ -1045,22 +838,22 @@ ShardedRunOutput run_sharded_frames(
   Shared sh(sys);
   sh.period = period;
   sh.workers = resolve_sim_threads(sim_threads, sys.channel_count());
-  const unsigned hw = std::thread::hardware_concurrency();
-  sh.oversubscribed = hw > 0 && sh.workers > hw;
 
   const std::uint32_t channels = sys.channel_count();
   sh.chunk = resolve_sim_chunk(sim_chunk);
-  sh.spec_mode = spec_mode_from_env();
+  sh.force_rollback = force_rollback_from_env();
   // Chunked speculation needs >1 worker to pay, a rewindable (or absent)
   // trace writer on every channel for rollback, and <=255 channels for the
-  // ChunkMeta byte-wide routing table.
-  bool chunked = sh.workers > 1 && sh.chunk > 1 &&
-                 sh.spec_mode != SpecMode::kOff && channels > 1 &&
-                 channels <= 255;
+  // ChunkMeta byte-wide routing table. Anything else runs on one worker:
+  // results are byte-identical at every worker count.
+  bool chunked = sh.workers > 1 && sh.chunk > 1 && channels <= 255;
   for (std::uint32_t c = 0; chunked && c < channels; ++c) {
     obs::TraceWriter* tw = sys.channel(c).trace_writer();
     if (tw != nullptr && !tw->supports_rewind()) chunked = false;
   }
+  if (!chunked) sh.workers = 1;
+  const unsigned hw = std::thread::hardware_concurrency();
+  sh.oversubscribed = hw > 0 && sh.workers > hw;
 
   std::unordered_map<const load::CachedStage*,
                      std::shared_ptr<const load::ChunkMeta>>

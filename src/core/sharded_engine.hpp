@@ -22,8 +22,9 @@
 // per channel, stage completion is a max), which is what makes the lazy
 // application legal.
 //
-// Parallel execution, epoch-batched (default): the stream is cut into
-// chunks of MCM_SIM_CHUNK positions and each chunk runs in three tiers:
+// Execution. With one worker the protocol runs exactly as written above,
+// position by position. With more workers the stream is cut into chunks of
+// MCM_SIM_CHUNK positions and each chunk runs in three tiers:
 //
 //   Tier 1 (proven run): while every channel's occupancy plus its incoming
 //   positions in the window fits its queue depth, no queue can fill, so no
@@ -44,17 +45,15 @@
 //   Tier 3 (rollback): on divergence (or MCM_SIM_SPEC=rollback), restore
 //   the epoch snapshot (whole-channel copies + trace rewind marks, taken
 //   every few speculative chunks) and replay serially up to the chunk end
-//   with the per-request protocol, then re-snapshot. Committed state is
-//   never re-rolled. After kMaxRollbacksPerSegment genuine rollbacks the
-//   segment's remainder is completed serially with the exact protocol
-//   (speculation is clearly not paying for this stream shape).
+//   with the exact protocol, then re-snapshot. Committed state is never
+//   re-rolled. After kMaxRollbacksPerSegment genuine rollbacks the
+//   segment's remainder is completed serially (speculation is clearly not
+//   paying for this stream shape).
 //
-// Per-request fallback (chunk size 1, 1 worker, MCM_SIM_SPEC=off, or a
-// non-rewindable trace writer): requests are consumed in strict position
-// order through one atomic cursor; the owner of position p's channel
-// performs the tiny serialized step (apply + full-check + publish) and
-// bumps the cursor; thresholds travel through per-channel SPSC rings.
-// Channels are assigned to workers round-robin (channel c -> worker c % T).
+// A run that asks for several workers but cannot run chunked (chunk size
+// 1, more than 255 channels, or a trace writer that cannot rewind) runs on
+// one worker. Channels are assigned to workers round-robin (channel c ->
+// worker c % T).
 //
 // Every ordering and rollback decision is a pure function of per-channel
 // deterministic state, so results are byte-identical at any worker count
@@ -87,7 +86,7 @@ struct ShardedRunOutput {
 /// sys's per-channel route counters; channel stats/energy/trace accumulate
 /// in the channels as usual.
 /// `sim_chunk` positions per speculative chunk (0 = MCM_SIM_CHUNK or the
-/// built-in default; 1 forces the per-request protocol).
+/// built-in default; 1 forces one worker).
 ShardedRunOutput run_sharded_frames(
     multichannel::MemorySystem& sys,
     const std::vector<const load::CachedWorkload*>& frame_workloads,

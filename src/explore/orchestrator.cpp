@@ -6,7 +6,7 @@
 
 #include "common/log.hpp"
 #include "core/sharded_engine.hpp"
-#include "explore/thread_pool.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 
@@ -70,14 +70,14 @@ ExploreRun Orchestrator::run(const ExperimentSpec& spec,
   }
   run.stats.points = points.size();
 
-  ThreadPool pool(opt_.threads);
+  exec::ThreadPool pool(opt_.threads);
   run.stats.threads = pool.size();
 
   // Phase 1 (optional, and implied by the analytic engine): closed-form
   // estimate for every point. Cheap enough to fan out as one task per point.
   const bool want_screen = opt_.prescreen || opt_.engine == Engine::kAnalytic;
   if (want_screen) {
-    std::vector<ThreadPool::Task> tasks;
+    std::vector<exec::ThreadPool::Task> tasks;
     tasks.reserve(points.size());
     const bool pon = obs::prof::enabled();
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -100,7 +100,7 @@ ExploreRun Orchestrator::run(const ExperimentSpec& spec,
 
   // Phase 2: transaction-level simulation of the surviving points.
   if (opt_.engine == Engine::kSimulator) {
-    std::vector<ThreadPool::Task> tasks;
+    std::vector<exec::ThreadPool::Task> tasks;
     tasks.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
       ExploreResult& r = run.results[i];

@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "load/source.hpp"
 #include "video/surfaces.hpp"
 #include "video/usecase.hpp"
@@ -32,13 +31,5 @@ struct LoadOptions {
 [[nodiscard]] std::vector<std::unique_ptr<TrafficSource>> build_stage_sources(
     const video::UseCaseModel& model, const video::SurfaceLayout& layout,
     const LoadOptions& opt = {});
-
-/// Arena variant: sources are placement-constructed in `arena` (destroyed by
-/// its next reset()), so the per-frame rebuild on the legacy feed path does
-/// no heap traffic once the arena has warmed up. The returned pointers are
-/// valid until that reset.
-[[nodiscard]] std::vector<TrafficSource*> build_stage_sources(
-    const video::UseCaseModel& model, const video::SurfaceLayout& layout,
-    const LoadOptions& opt, common::FrameArena& arena);
 
 }  // namespace mcm::load

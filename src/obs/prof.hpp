@@ -7,18 +7,17 @@
 // for one run).
 //
 // Model:
-//  - A *phase* is an interned hierarchical name ("engine/w2/handoff_wait",
+//  - A *phase* is an interned hierarchical name ("engine/w2/barrier_wait",
 //    "sim/feed", "verify/compare"). Ids are stable for the process lifetime.
 //  - `ScopedTimer` records an RAII span (start/duration + nesting, so self
 //    time = wall minus enclosed spans) into a per-thread spool. Use it for
 //    coarse phases only - every span costs two steady_clock reads.
 //  - `tally(phase, dur_ns, calls)` adds a measured duration to a phase
 //    accumulator without emitting a span: the hot-loop form used for stall
-//    episodes the engine times itself (handoff waits, ring-full waits,
-//    barrier waits).
+//    episodes the engine times itself (barrier waits, speculation).
 //  - `count(phase, n)` bumps a pure event counter (requests retired,
 //    cache hits); `value(phase, v)` samples a dimensionless value into the
-//    phase's log2 histogram (ring occupancy).
+//    phase's log2 histogram (speculation depth).
 //  - Spools are merged into one `ProfileReport` by `collect()`: per-phase
 //    call counts, wall/self time, max, and log2-interpolated p50/p95, plus
 //    the raw spans for Chrome/Perfetto export. Aggregation is pure integer

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <ostream>
 #include <vector>
 
@@ -120,21 +119,12 @@ class TraceSink final : public TraceWriter {
 /// spool, so no two threads ever write the same spool.
 class TraceSpool final : public TraceWriter {
  public:
-  /// Events live in `mem` when given (the frame simulator hands every spool
-  /// a run-scoped FrameArena, so trace accumulation does no per-event heap
-  /// traffic); default is the global new/delete resource.
-  explicit TraceSpool(
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : events_(mem) {}
-
   void command(std::uint32_t channel, Time at, dram::Command cmd,
                std::uint32_t bank, std::uint32_t row) override;
   void span(std::uint32_t channel, std::uint64_t addr, bool is_write,
             Time arrival, Time first_cmd, Time done, bool row_hit) override;
 
-  [[nodiscard]] const std::pmr::vector<TraceEvent>& events() const {
-    return events_;
-  }
+  [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::uint64_t events_recorded() const { return events_.size(); }
 
   /// Spools buffer in memory, so speculative events can be truncated.
@@ -145,7 +135,7 @@ class TraceSpool final : public TraceWriter {
   }
 
  private:
-  std::pmr::vector<TraceEvent> events_;
+  std::vector<TraceEvent> events_;
 };
 
 /// Merge per-channel spools into one JSONL stream (meta line first) sorted

@@ -147,7 +147,7 @@ Outcome run_production(const Scenario& s) {
     co.t_selfrefresh_ps = led.t_selfrefresh.ps();
     co.route_count = sys.route_counts()[c];
     co.bank_accesses = ch.controller().bank_accesses();
-    co.events.assign(spools[c].events().begin(), spools[c].events().end());
+    co.events = spools[c].events();
     co.energy_total_pj = ch.energy_model().tally(led).total_pj();
     o.channels.push_back(std::move(co));
   }

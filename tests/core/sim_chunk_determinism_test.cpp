@@ -1,6 +1,6 @@
 // Determinism contract of the epoch-batched (chunked) sharded engine:
 // every statistic, timestamp, and trace byte is identical at any chunk
-// size — including 1 (per-request protocol), odd sizes that straddle
+// size — including 1 (one worker, no speculation), odd sizes that straddle
 // interleave stripes, and chunks larger than the whole stream — and on the
 // rollback path (MCM_SIM_SPEC=rollback forces a rollback at every
 // speculative chunk). Synthetic workloads drive run_sharded_frames
@@ -108,7 +108,7 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.trace, b.trace) << "merged trace must be byte-identical";
 }
 
-/// Reference = T1 chunk=1 (per-request protocol, no speculation); every
+/// Reference = T1 chunk=1 (single worker, no speculation); every
 /// (threads, chunk) combination must match it byte for byte.
 void expect_chunk_invariant(const multichannel::SystemConfig& config,
                             const std::vector<const CachedWorkload*>& frames,
@@ -208,34 +208,29 @@ TEST(SimChunkDeterminism, ForcedRollbackActuallyRollsBack) {
   EXPECT_GT(ep->calls, 0u);
 }
 
-TEST(SimChunkDeterminism, ChunkSizeOneDegeneratesToPerRequestProtocol) {
-  // chunk=1 must not run the chunked machinery at all: no epoch_publish
-  // phase, and the per-request handoff counters reappear.
+TEST(SimChunkDeterminism, ChunkSizeOneRunsSingleWorker) {
+  // chunk=1 cannot speculate, so a 2-worker request resolves to one worker:
+  // no chunked phases, no second worker's phases, and output byte-identical
+  // to the chunked 2-worker run.
   const auto config = make_system(4);
   const auto wl = make_workload({make_stage("seq", 1, 0, 16, 600)});
   const std::vector<const CachedWorkload*> frames{&wl};
   obs::prof::set_enabled(true);
   (void)obs::prof::collect(true);
-  (void)run_once(config, frames, Time::from_us(500), 2, 1);
-  const obs::prof::ProfileReport per_request = obs::prof::collect(true);
-  (void)run_once(config, frames, Time::from_us(500), 2, 0);
-  const obs::prof::ProfileReport chunked = obs::prof::collect(true);
+  const RunResult single = run_once(config, frames, Time::from_us(500), 2, 1);
+  const obs::prof::ProfileReport single_prof = obs::prof::collect(true);
+  const RunResult chunked = run_once(config, frames, Time::from_us(500), 2, 4096);
+  const obs::prof::ProfileReport chunked_prof = obs::prof::collect(true);
   obs::prof::set_enabled(false);
-  EXPECT_EQ(per_request.find("engine/epoch_publish"), nullptr);
-  EXPECT_NE(chunked.find("engine/epoch_publish"), nullptr);
-  EXPECT_NE(chunked.find("engine/w0/speculate"), nullptr);
-  EXPECT_EQ(chunked.find("engine/w0/handoff_wait"), nullptr);
-}
 
-TEST(SimChunkDeterminism, SpecOffEnvMatchesDefault) {
-  const auto config = make_system(4);
-  const auto wl = make_workload({make_stage("seq", 1, 0, 16, 600)});
-  const std::vector<const CachedWorkload*> frames{&wl};
-  const RunResult on = run_once(config, frames, Time::from_us(500), 8, 0);
-  setenv("MCM_SIM_SPEC", "off", 1);
-  const RunResult off = run_once(config, frames, Time::from_us(500), 8, 0);
-  unsetenv("MCM_SIM_SPEC");
-  expect_identical(on, off, "MCM_SIM_SPEC=off vs on");
+  EXPECT_NE(single_prof.find("engine/w0/feed"), nullptr);
+  EXPECT_EQ(single_prof.find("engine/epoch_publish"), nullptr);
+  for (const auto& ph : single_prof.phases) {
+    EXPECT_NE(ph.name.rfind("engine/w1/", 0), 0u)
+        << "second worker ran: " << ph.name;
+  }
+  EXPECT_NE(chunked_prof.find("engine/w1/feed"), nullptr);
+  expect_identical(single, chunked, "chunk=1 vs chunk=4096 at 2 workers");
 }
 
 TEST(SimChunkDeterminism, ResolveAndEnvDefaults) {

@@ -2,6 +2,8 @@
 // invariants must hold for every (level, zoom, reference policy) cell.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "video/usecase.hpp"
 
 namespace mcm::video {
@@ -12,6 +14,13 @@ struct Params {
   double zoom;
   RefFramePolicy policy;
 };
+
+// Names each grid cell in the test list. Without a printer gtest dumps the
+// struct's raw bytes, padding included, so the names changed between runs.
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << "level " << level_spec(p.level).name << " zoom " << p.zoom << ' '
+      << (p.policy == RefFramePolicy::kCalibrated ? "calibrated" : "dpb");
+}
 
 class UseCaseProperty : public ::testing::TestWithParam<Params> {};
 

@@ -24,7 +24,7 @@
 
 #include "explore/explore_export.hpp"
 #include "explore/orchestrator.hpp"
-#include "explore/thread_pool.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   args.orch.metrics = &metrics;
   std::printf("mcm_explore: %zu points, %u threads%s%s\n", spec.size(),
-              explore::ThreadPool::resolve_thread_count(args.orch.threads),
+              exec::ThreadPool::resolve_thread_count(args.orch.threads),
               args.orch.prescreen ? ", analytic pre-screen" : "",
               args.orch.engine == explore::Engine::kAnalytic
                   ? ", analytic engine"
