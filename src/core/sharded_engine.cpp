@@ -370,14 +370,6 @@ void run_segment_single(Shared& sh, const Segment& s, const WorkerProf& wp) {
 // Chunked (epoch-batched) mode.
 // ---------------------------------------------------------------------------
 
-/// Local (per-channel) address of a routed global address — Interleaver::
-/// route without recomputing the channel (ChunkMeta already has it).
-std::uint64_t local_addr(std::uint64_t addr, std::uint32_t channels,
-                         std::uint32_t granularity) {
-  const std::uint64_t stripe = addr / granularity;
-  return (stripe / channels) * granularity + addr % granularity;
-}
-
 /// Stage the next chunk window starting at `begin` (serial context only:
 /// all channels quiescent). Tier-1 proven-run extension first: while every
 /// channel's occupancy plus incoming positions fits its queue, no queue can
@@ -495,8 +487,7 @@ void spec_channel(Shared& sh, const Segment& s, const load::ChunkMeta& meta,
     }
     const std::uint64_t packed = reqs[p];
     ctrl::Request r;
-    r.addr = local_addr(load::CachedStage::addr_of(packed), meta.channels,
-                        meta.granularity);
+    r.addr = sh.il.route(load::CachedStage::addr_of(packed)).local;
     r.is_write = load::CachedStage::is_write_of(packed);
     r.arrival = arr;
     r.source = sid;
@@ -579,8 +570,7 @@ void replay_serial_range(Shared& sh, std::uint64_t a, std::uint64_t b) {
     }
     const std::uint64_t packed = reqs[p];
     ctrl::Request r;
-    r.addr = local_addr(load::CachedStage::addr_of(packed), meta.channels,
-                        meta.granularity);
+    r.addr = sh.il.route(load::CachedStage::addr_of(packed)).local;
     r.is_write = load::CachedStage::is_write_of(packed);
     r.arrival = arr;
     r.source = sid;

@@ -23,7 +23,7 @@ MultiStreamSource::MultiStreamSource(std::string name, std::vector<StreamSpec> s
     if (s.window == 0) s.window = s.bytes;
     s.window = round_up(s.window, burst_);
     total_ += s.bytes;
-    streams_.push_back(StreamState{s, 0});
+    streams_.push_back(StreamState{s});
   }
   remaining_ = total_;
   if (remaining_ > 0) select_stream();
@@ -31,16 +31,15 @@ MultiStreamSource::MultiStreamSource(std::string name, std::vector<StreamSpec> s
 
 void MultiStreamSource::select_stream() {
   // Pick the stream with the lowest progress fraction so interleaving stays
-  // proportional to each stream's volume.
+  // proportional to each stream's volume. Only the stream whose run just
+  // ended has moved, so the other fractions are still current.
   double best_frac = 2.0;
   std::size_t best = streams_.size();
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     const auto& st = streams_[i];
     if (st.cursor >= st.spec.bytes) continue;
-    const double frac =
-        static_cast<double>(st.cursor) / static_cast<double>(st.spec.bytes);
-    if (frac < best_frac) {
-      best_frac = frac;
+    if (st.frac < best_frac) {
+      best_frac = st.frac;
       best = i;
     }
   }
@@ -50,11 +49,24 @@ void MultiStreamSource::select_stream() {
   chunk_left_ = std::min<std::uint64_t>(chunk_, st.spec.bytes - st.cursor);
 }
 
+void MultiStreamSource::consume(std::uint64_t bytes) {
+  // Volumes, windows and chunks are whole bursts, so a run ends exactly when
+  // its chunk or its stream is used up.
+  auto& st = streams_[current_];
+  st.cursor += bytes;
+  issued_ += bytes;
+  remaining_ -= bytes;
+  chunk_left_ -= bytes;
+  if (chunk_left_ > 0) return;
+  st.frac = static_cast<double>(st.cursor) / static_cast<double>(st.spec.bytes);
+  if (remaining_ > 0) select_stream();
+}
+
 ctrl::Request MultiStreamSource::head() const {
   assert(!done());
   const auto& st = streams_[current_];
   ctrl::Request r;
-  r.addr = st.spec.base + st.cursor % st.spec.window;
+  r.addr = st.spec.base + st.offset;
   r.is_write = st.spec.is_write;
   r.source = st.spec.source_id;
   r.arrival = start_;
@@ -69,13 +81,9 @@ ctrl::Request MultiStreamSource::head() const {
 void MultiStreamSource::advance() {
   assert(!done());
   auto& st = streams_[current_];
-  const std::uint64_t step = std::min<std::uint64_t>(burst_, st.spec.bytes - st.cursor);
-  st.cursor += step;
-  issued_ += step;
-  remaining_ -= step;
-  chunk_left_ = chunk_left_ > step ? chunk_left_ - step : 0;
-  if (remaining_ == 0) return;
-  if (chunk_left_ == 0 || st.cursor >= st.spec.bytes) select_stream();
+  st.offset += burst_;
+  if (st.offset == st.spec.window) st.offset = 0;
+  consume(burst_);
 }
 
 }  // namespace mcm::load

@@ -4,6 +4,12 @@
 // cache-line chunks - exactly the miss pattern an SMP cache produces for a
 // streaming kernel. Streams whose volume exceeds their window wrap around
 // (e.g. the encoder makes six passes over the reference area).
+//
+// The emission order is a sequence of runs: the stream with the lowest
+// progress fraction issues up to one chunk of consecutive bursts, then the
+// next run is selected. head()/advance() walk that state machine one request
+// at a time; drain() walks the same machine a whole run at a time for bulk
+// enumeration (the stream cache builder).
 #pragma once
 
 #include <cstdint>
@@ -40,12 +46,39 @@ class MultiStreamSource final : public TrafficSource {
   /// over [start, start + duration] instead of all-at-start.
   void set_pacing(Time duration) override { pace_duration_ = duration; }
 
+  /// Emit every remaining request, in head()/advance() order, as
+  /// `sink(addr, is_write)`, one chunk run at a time. Leaves the source
+  /// done(). Arrival times are not produced (callers that need them pace
+  /// through head()).
+  template <class Sink>
+  void drain(Sink&& sink) {
+    while (remaining_ > 0) {
+      StreamState& st = streams_[current_];
+      const std::uint64_t base = st.spec.base;
+      const std::uint64_t window = st.spec.window;
+      const bool is_write = st.spec.is_write;
+      std::uint64_t offset = st.offset;
+      for (std::uint64_t left = chunk_left_; left > 0; left -= burst_) {
+        sink(base + offset, is_write);
+        offset += burst_;
+        if (offset == window) offset = 0;
+      }
+      st.offset = offset;
+      consume(chunk_left_);
+    }
+  }
+
  private:
   struct StreamState {
     StreamSpec spec;
     std::uint64_t cursor = 0;  // bytes issued
+    std::uint64_t offset = 0;  // cursor wrapped into the window
+    double frac = 0.0;         // cursor / bytes, refreshed when a run ends
   };
 
+  /// Account `bytes` issued from the current run; when the run is used up,
+  /// refresh the stream's progress fraction and select the next run.
+  void consume(std::uint64_t bytes);
   void select_stream();
 
   std::string name_;
@@ -56,7 +89,7 @@ class MultiStreamSource final : public TrafficSource {
   std::uint64_t issued_ = 0;
   std::uint64_t remaining_ = 0;
   std::size_t current_ = 0;
-  std::uint64_t chunk_left_ = 0;
+  std::uint64_t chunk_left_ = 0;  // bytes left in the current run
   Time start_ = Time::zero();
   Time pace_duration_ = Time::zero();
 };

@@ -3,15 +3,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "common/log.hpp"
-#include "obs/prof.hpp"
+#include "load/multi_stream_source.hpp"
+#include "multichannel/interleaver.hpp"
 
 namespace mcm::load {
 namespace {
 
-// Soft cap on resident cached streams: one 2160p30 format is ~10^7 requests
-// (~80 MB); the cap fits every paper figure with slack while bounding a
+// Soft cap on resident cached streams: one 2160p30 format is 34.0 M requests
+// (272 MB); the cap fits every paper figure with slack while bounding a
 // pathological sweep over many distinct formats. New workloads beyond the
 // cap are generated but not retained; chunk metadata shares the same cap.
 constexpr std::uint64_t kMaxCachedBytes = std::uint64_t{2} << 30;
@@ -19,17 +21,19 @@ constexpr std::uint64_t kMaxCachedBytes = std::uint64_t{2} << 30;
 std::string make_key(const video::UseCaseParams& p, std::uint64_t alignment,
                      const LoadOptions& opt) {
   char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "l%d z%.17g b%.17g a%.17g e%.17g rp%d d%ux%u@%.17g al%llu "
-                "c%u bu%u mw%d s%llu",
-                static_cast<int>(p.level), p.digizoom, p.stabilization_border,
-                p.audio_mbps, p.encoder_ref_factor,
-                static_cast<int>(p.ref_policy), p.display.width,
-                p.display.height, p.display_refresh_hz,
-                static_cast<unsigned long long>(alignment), opt.chunk_bytes,
-                opt.burst_bytes, opt.motion_window_encoder ? 1 : 0,
-                static_cast<unsigned long long>(opt.seed));
-  return buf;
+  std::snprintf(
+      buf, sizeof buf,
+      "l%d z%.17g b%.17g a%.17g e%.17g rp%d d%ux%u@%.17g al%llu c%u bu%u mw%d",
+      static_cast<int>(p.level), p.digizoom, p.stabilization_border,
+      p.audio_mbps, p.encoder_ref_factor, static_cast<int>(p.ref_policy),
+      p.display.width, p.display.height, p.display_refresh_hz,
+      static_cast<unsigned long long>(alignment), opt.chunk_bytes,
+      opt.burst_bytes, opt.motion_window_encoder ? 1 : 0);
+  std::string key = buf;
+  // Only the motion-window encoder reads the seed; every other stream is the
+  // same for every seed, so the seed would only split identical entries.
+  if (opt.motion_window_encoder) key += " s" + std::to_string(opt.seed);
+  return key;
 }
 
 std::string make_meta_key(const std::string& workload_key,
@@ -40,6 +44,16 @@ std::string make_meta_key(const std::string& workload_key,
                 static_cast<unsigned long long>(stage_index), channels,
                 granularity);
   return workload_key + buf;
+}
+
+/// Enumerate `src` into `stage` one request at a time (any source).
+void fill_stage_generic(TrafficSource& src, CachedStage& stage) {
+  while (!src.done()) {
+    const ctrl::Request r = src.head();
+    src.advance();
+    if (stage.reqs.empty()) stage.source_id = r.source;
+    stage.reqs.push_back(CachedStage::pack(r.addr, r.is_write));
+  }
 }
 
 std::shared_ptr<CachedWorkload> build_video_workload(
@@ -58,11 +72,14 @@ std::shared_ptr<CachedWorkload> build_video_workload(
     src->set_start(Time::zero());
     // One request per device burst, so the request count is known up front.
     stage.reqs.reserve(src->total_bytes() / std::max(1u, opt.burst_bytes));
-    while (!src->done()) {
-      const ctrl::Request r = src->head();
-      src->advance();
-      if (stage.reqs.empty()) stage.source_id = r.source;
-      stage.reqs.push_back(CachedStage::pack(r.addr, r.is_write));
+    if (auto* ms = dynamic_cast<MultiStreamSource*>(src.get())) {
+      // Stream stages (all but the motion-window encoder) emit run by run.
+      if (!ms->done()) stage.source_id = ms->head().source;
+      ms->drain([&stage](std::uint64_t addr, bool is_write) {
+        stage.reqs.push_back(CachedStage::pack(addr, is_write));
+      });
+    } else {
+      fill_stage_generic(*src, stage);
     }
     wl->total_requests += stage.reqs.size();
     wl->stages.push_back(std::move(stage));
@@ -88,18 +105,16 @@ std::shared_ptr<const ChunkMeta> ChunkMeta::build(const CachedStage& stage,
       obs::prof::phase_id("stream_cache/meta_build");
   obs::prof::ScopedTimer span(kBuild);
   auto meta = std::make_shared<ChunkMeta>();
-  meta->channels = channels;
-  meta->granularity = granularity;
   const std::size_t n = stage.reqs.size();
   meta->chan.resize(n);
   meta->pos_of.resize(channels);
   if (channels > 0) {
     for (auto& v : meta->pos_of) v.reserve(n / channels + 1);
   }
+  const multichannel::Interleaver il(channels, granularity);
   for (std::size_t p = 0; p < n; ++p) {
-    const std::uint64_t addr = CachedStage::addr_of(stage.reqs[p]);
     const std::uint32_t c =
-        static_cast<std::uint32_t>((addr / granularity) % channels);
+        il.route(CachedStage::addr_of(stage.reqs[p])).channel;
     meta->chan[p] = static_cast<std::uint8_t>(c);
     meta->pos_of[c].push_back(static_cast<std::uint32_t>(p));
   }
@@ -134,44 +149,56 @@ void StreamCache::warn_capped_locked(const std::string& key,
       static_cast<unsigned long long>(bytes), key.c_str());
 }
 
-void StreamCache::try_retain_locked(
-    const std::string& key, const std::shared_ptr<const CachedWorkload>& wl) {
-  if (bytes_ + meta_bytes_ + wl->footprint_bytes() <= kMaxCachedBytes) {
-    bytes_ += wl->footprint_bytes();
-    map_.emplace(key, wl);
-  } else {
-    warn_capped_locked(key, wl->footprint_bytes());
+template <class T, class Build>
+typename StreamCache::Table<T>::Ptr StreamCache::memo(
+    Table<T>& table, const std::string& key, obs::prof::PhaseId hit,
+    obs::prof::PhaseId miss, const Build& build) {
+  using Ptr = typename Table<T>::Ptr;
+  std::unique_lock lock(mutex_);
+  if (const auto it = table.done.find(key); it != table.done.end()) {
+    obs::prof::count(hit, 1);
+    return it->second;
   }
+  if (const auto it = table.building.find(key); it != table.building.end()) {
+    const std::shared_future<Ptr> pending = it->second;
+    lock.unlock();
+    obs::prof::count(hit, 1);
+    return pending.get();  // rethrows the builder's exception
+  }
+  std::promise<Ptr> promise;
+  table.building.emplace(key, promise.get_future().share());
+  lock.unlock();
+  obs::prof::count(miss, 1);
+
+  Ptr built;
+  try {
+    built = build();
+  } catch (...) {
+    lock.lock();
+    table.building.erase(key);
+    lock.unlock();
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+  lock.lock();
+  table.building.erase(key);
+  const std::uint64_t fp = built->footprint_bytes();
+  if (streams_.bytes + metas_.bytes + fp <= kMaxCachedBytes) {
+    table.bytes += fp;
+    table.done.emplace(key, built);
+  } else {
+    warn_capped_locked(key, fp);
+  }
+  lock.unlock();
+  promise.set_value(built);
+  return built;
 }
 
 std::shared_ptr<const CachedWorkload> StreamCache::get(
     const video::UseCaseModel& model, const video::SurfaceLayout& layout,
     std::uint64_t alignment, const LoadOptions& opt) {
-  if (!enabled()) return generate(model, layout, opt);
-  static const obs::prof::PhaseId kHit = obs::prof::phase_id("stream_cache/hit");
-  static const obs::prof::PhaseId kMiss =
-      obs::prof::phase_id("stream_cache/miss");
-  const std::string key = make_key(model.params(), alignment, opt);
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      obs::prof::count(kHit, 1);
-      return it->second;
-    }
-  }
-  obs::prof::count(kMiss, 1);
-  // Generate outside the lock: two threads may race to build the same
-  // format, in which case the first insert wins and the loser's copy is
-  // dropped (both are identical by construction).
-  auto wl = build_video_workload(model, layout, opt);
-  wl->key = key;
-  std::lock_guard lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) return it->second;
-  std::shared_ptr<const CachedWorkload> frozen = std::move(wl);
-  try_retain_locked(key, frozen);
-  return frozen;
+  return get_keyed(make_key(model.params(), alignment, opt),
+                   [&] { return build_video_workload(model, layout, opt); });
 }
 
 std::shared_ptr<const CachedWorkload> StreamCache::get_keyed(
@@ -181,23 +208,12 @@ std::shared_ptr<const CachedWorkload> StreamCache::get_keyed(
   static const obs::prof::PhaseId kHit = obs::prof::phase_id("stream_cache/hit");
   static const obs::prof::PhaseId kMiss =
       obs::prof::phase_id("stream_cache/miss");
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      obs::prof::count(kHit, 1);
-      return it->second;
-    }
-  }
-  obs::prof::count(kMiss, 1);
-  auto wl = build();
-  wl->key = key;
-  std::lock_guard lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) return it->second;
-  std::shared_ptr<const CachedWorkload> frozen = std::move(wl);
-  try_retain_locked(key, frozen);
-  return frozen;
+  return memo(streams_, key, kHit, kMiss,
+              [&]() -> std::shared_ptr<const CachedWorkload> {
+                auto wl = build();
+                wl->key = key;
+                return wl;
+              });
 }
 
 std::shared_ptr<const ChunkMeta> StreamCache::chunk_meta(
@@ -210,51 +226,34 @@ std::shared_ptr<const ChunkMeta> StreamCache::chunk_meta(
       obs::prof::phase_id("stream_cache/meta_hit");
   static const obs::prof::PhaseId kMiss =
       obs::prof::phase_id("stream_cache/meta_miss");
-  const std::string key = make_meta_key(wl.key, stage_index, channels,
+  return memo(metas_, make_meta_key(wl.key, stage_index, channels, granularity),
+              kHit, kMiss, [&] {
+                return ChunkMeta::build(wl.stages[stage_index], channels,
                                         granularity);
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = meta_map_.find(key);
-    if (it != meta_map_.end()) {
-      obs::prof::count(kHit, 1);
-      return it->second;
-    }
-  }
-  obs::prof::count(kMiss, 1);
-  auto meta = ChunkMeta::build(wl.stages[stage_index], channels, granularity);
-  std::lock_guard lock(mutex_);
-  const auto it = meta_map_.find(key);
-  if (it != meta_map_.end()) return it->second;
-  if (bytes_ + meta_bytes_ + meta->footprint_bytes() <= kMaxCachedBytes) {
-    meta_bytes_ += meta->footprint_bytes();
-    meta_map_.emplace(key, meta);
-  } else {
-    warn_capped_locked(key, meta->footprint_bytes());
-  }
-  return meta;
+              });
 }
 
 void StreamCache::clear() {
   std::lock_guard lock(mutex_);
-  map_.clear();
-  meta_map_.clear();
+  streams_.done.clear();
+  metas_.done.clear();
+  streams_.bytes = 0;
+  metas_.bytes = 0;
   capped_warned_.clear();
-  bytes_ = 0;
-  meta_bytes_ = 0;
 }
 
 std::uint64_t StreamCache::cached_bytes() {
   std::lock_guard lock(mutex_);
-  return bytes_ + meta_bytes_;
+  return streams_.bytes + metas_.bytes;
 }
 
 StreamCacheStats StreamCache::stats() {
   std::lock_guard lock(mutex_);
   StreamCacheStats s;
-  s.stream_bytes = bytes_;
-  s.meta_bytes = meta_bytes_;
-  s.stream_entries = map_.size();
-  s.meta_entries = meta_map_.size();
+  s.stream_bytes = streams_.bytes;
+  s.meta_bytes = metas_.bytes;
+  s.stream_entries = streams_.done.size();
+  s.meta_entries = metas_.done.size();
   return s;
 }
 

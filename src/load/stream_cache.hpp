@@ -8,6 +8,16 @@
 // every grid point that shares it (all Fig. 3 frequency points, every
 // channel count of a Fig. 4 row).
 //
+// Key contract: the key holds every LoadOptions field that shapes the
+// stream. LoadOptions::seed counts only when motion_window_encoder is set —
+// the motion-window encoder is the only source that reads it — so grid
+// points that differ only in seed share one entry.
+//
+// Builds are single-flight: a miss on a key another thread is already
+// building waits for that build (and counts as a hit) instead of building a
+// second copy. A build that throws hands its exception to every waiter and
+// retains nothing, so the next call retries.
+//
 // A cached request packs (global byte address | is_write) into one word;
 // stage name / source id / ordering are preserved so the frame simulator
 // can reproduce its bookkeeping exactly. Disable with MCM_STREAM_CACHE=off
@@ -16,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +35,7 @@
 #include <vector>
 
 #include "load/usecase_sources.hpp"
+#include "obs/prof.hpp"
 #include "video/surfaces.hpp"
 #include "video/usecase.hpp"
 
@@ -65,11 +77,9 @@ struct CachedWorkload {
 /// channel of every position of the flat request array under a given
 /// interleave (channels, granularity), plus per-channel sorted position
 /// lists. Workers use pos_of to speculate over their own channels' positions
-/// without touching the shared cursor; the chunk scheduler uses count_in to
-/// prove no-stall horizons (occupancy + incoming <= queue depth).
+/// only; the chunk scheduler uses count_in to prove no-stall horizons
+/// (occupancy + incoming <= queue depth).
 struct ChunkMeta {
-  std::uint32_t channels = 0;
-  std::uint32_t granularity = 0;
   std::vector<std::uint8_t> chan;                  // channel of each position
   std::vector<std::vector<std::uint32_t>> pos_of;  // per channel, ascending
 
@@ -81,9 +91,10 @@ struct ChunkMeta {
   [[nodiscard]] std::uint64_t count_in(std::uint32_t channel, std::uint64_t a,
                                        std::uint64_t b) const;
 
-  /// Route every position of `stage` under (channels, granularity).
-  /// Requires channels <= 255 (the engine falls back to the per-request
-  /// protocol beyond that).
+  /// Route every position of `stage` under (channels, granularity) with
+  /// multichannel::Interleaver::route. Requires channels <= 255 (the byte
+  /// routing table); the engine runs a system with more channels on one
+  /// worker, which needs no metadata.
   [[nodiscard]] static std::shared_ptr<const ChunkMeta> build(
       const CachedStage& stage, std::uint32_t channels,
       std::uint32_t granularity);
@@ -143,19 +154,32 @@ class StreamCache {
   [[nodiscard]] StreamCacheStats stats();
 
  private:
-  /// Retain `wl` under `key` if the soft cap allows; warns once per key when
-  /// it does not. Caller holds mutex_.
-  void try_retain_locked(const std::string& key,
-                         const std::shared_ptr<const CachedWorkload>& wl);
+  /// One kind of entry (streams or chunk metadata): the retained entries,
+  /// the builds in flight, and the retained bytes.
+  template <class T>
+  struct Table {
+    using Ptr = std::shared_ptr<const T>;
+    std::unordered_map<std::string, Ptr> done;
+    std::unordered_map<std::string, std::shared_future<Ptr>> building;
+    std::uint64_t bytes = 0;
+  };
+
+  /// The memo routine behind get/get_keyed/chunk_meta: the entry for `key`
+  /// in `table`, built by `build()` outside the mutex on first use. A call
+  /// that finds the key in flight waits for that build (a hit). A build that
+  /// throws rethrows to its caller and every waiter and retains nothing.
+  template <class T, class Build>
+  typename Table<T>::Ptr memo(Table<T>& table, const std::string& key,
+                              obs::prof::PhaseId hit, obs::prof::PhaseId miss,
+                              const Build& build);
+
   void warn_capped_locked(const std::string& key, std::uint64_t bytes);
 
-  // Workloads are immutable once built; the mutex only guards the maps.
+  // Entries are immutable once built; the mutex only guards the tables.
   std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const CachedWorkload>> map_;
-  std::unordered_map<std::string, std::shared_ptr<const ChunkMeta>> meta_map_;
+  Table<CachedWorkload> streams_;
+  Table<ChunkMeta> metas_;
   std::unordered_set<std::string> capped_warned_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t meta_bytes_ = 0;
 };
 
 }  // namespace mcm::load

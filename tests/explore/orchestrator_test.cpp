@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "explore/explore_export.hpp"
+#include "load/stream_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 
@@ -60,6 +61,26 @@ TEST(Orchestrator, OneThreadAndManyThreadsAreByteIdentical) {
   // The full deterministic export (points, frontiers, min-channel table)
   // must serialize byte-for-byte identically.
   EXPECT_EQ(exported_json(spec, run1), exported_json(spec, run4));
+}
+
+TEST(Orchestrator, GridPointsOfOneFormatShareOneStream) {
+  // Every point gets its own seed, but no paper-mode stream reads it, and
+  // the stream of a format is the same at every channel count: the grid
+  // enumerates one stream per format, even when all four pool threads miss
+  // on the same format at once (the grid is level-major).
+  ExperimentSpec spec;
+  spec.levels = {video::H264Level::k31, video::H264Level::k32};
+  spec.channels = {1, 2, 4, 8};
+  spec.freq_mhz = {400.0};
+  auto& cache = load::StreamCache::instance();
+  cache.clear();
+  OrchestratorOptions opt;
+  opt.threads = 4;
+  const auto run = Orchestrator(opt).run(spec);
+  ASSERT_EQ(run.results.size(), 8u);
+  EXPECT_EQ(run.stats.simulated, 8u);
+  EXPECT_EQ(cache.stats().stream_entries, 2u);
+  cache.clear();
 }
 
 TEST(Orchestrator, SweepWrappersMatchEngineOutput) {

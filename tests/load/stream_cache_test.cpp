@@ -1,13 +1,18 @@
 // The workload stream cache must be a transparent memoization layer: the
 // cached enumeration replays exactly what the live load models emit, keys
-// distinguish every parameter that changes the stream, and the
-// MCM_STREAM_CACHE=off escape hatch bypasses retention without changing
-// content.
+// distinguish every parameter that changes the stream (and nothing else),
+// concurrent misses on one key build once, and the MCM_STREAM_CACHE=off
+// escape hatch bypasses retention without changing content.
 #include "load/stream_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <latch>
+#include <stdexcept>
+#include <thread>
 
 #include "video/surfaces.hpp"
 #include "video/usecase.hpp"
@@ -75,11 +80,23 @@ TEST(StreamCache, GetMemoizesPerKey) {
   EXPECT_EQ(a.get(), b.get()) << "same key must hit";
   EXPECT_EQ(cache.cached_bytes(), a->footprint_bytes());
 
-  // Any stream-shaping parameter forms a new key.
+  // The seed shapes no stream without the motion-window encoder, so it
+  // alone forms no new key...
   LoadOptions seeded = opt;
   seeded.seed = 42;
   const auto c = cache.get(f.model, f.layout, kAlign, seeded);
-  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(a.get(), c.get()) << "seed alone must share the entry";
+
+  // ...but it does separate motion-window streams.
+  LoadOptions window = opt;
+  window.motion_window_encoder = true;
+  window.seed = 1;
+  const auto w1 = cache.get(f.model, f.layout, kAlign, window);
+  window.seed = 42;
+  const auto w42 = cache.get(f.model, f.layout, kAlign, window);
+  EXPECT_NE(a.get(), w1.get());
+  EXPECT_NE(w1.get(), w42.get());
+  EXPECT_EQ(cache.stats().stream_entries, 3u);
 
   const Format heavier(params(video::H264Level::k40));
   const auto d = cache.get(heavier.model, heavier.layout, kAlign, opt);
@@ -169,6 +186,119 @@ TEST(StreamCache, ChunkMetaMemoizedAndCounted) {
   const StreamCacheStats cleared = cache.stats();
   EXPECT_EQ(cleared.stream_bytes + cleared.meta_bytes, 0u);
   EXPECT_EQ(cleared.stream_entries + cleared.meta_entries, 0u);
+}
+
+TEST(StreamCache, SeedShapesOnlyMotionWindowStreams) {
+  // Sharing one entry across seeds is sound only while no source behind the
+  // key reads the seed. If a source starts to, this test fails before the
+  // cache serves one seed's stream to another.
+  const Format f(params());
+  const auto stages_equal = [](const CachedWorkload& x, const CachedWorkload& y) {
+    if (x.stages.size() != y.stages.size()) return false;
+    for (std::size_t s = 0; s < x.stages.size(); ++s) {
+      if (x.stages[s].name != y.stages[s].name ||
+          x.stages[s].source_id != y.stages[s].source_id ||
+          x.stages[s].reqs != y.stages[s].reqs) {
+        return false;
+      }
+    }
+    return true;
+  };
+  LoadOptions s1, s42;
+  s1.seed = 1;
+  s42.seed = 42;
+  EXPECT_TRUE(stages_equal(*StreamCache::generate(f.model, f.layout, s1),
+                           *StreamCache::generate(f.model, f.layout, s42)));
+
+  s1.motion_window_encoder = s42.motion_window_encoder = true;
+  EXPECT_FALSE(stages_equal(*StreamCache::generate(f.model, f.layout, s1),
+                            *StreamCache::generate(f.model, f.layout, s42)));
+}
+
+std::shared_ptr<CachedWorkload> tiny_workload(std::uint64_t requests) {
+  auto wl = std::make_shared<CachedWorkload>();
+  CachedStage stage;
+  stage.name = "tiny";
+  stage.source_id = 0;
+  for (std::uint64_t i = 0; i < requests; ++i) {
+    stage.reqs.push_back(CachedStage::pack(i * 16, false));
+  }
+  wl->total_requests = requests;
+  wl->burst_bytes = 16;
+  wl->stages.push_back(std::move(stage));
+  return wl;
+}
+
+TEST(StreamCache, ConcurrentMissesBuildOnce) {
+  auto& cache = StreamCache::instance();
+  cache.clear();
+  constexpr int kThreads = 8;
+  std::atomic<int> builds{0};
+  const auto slow_build = [&builds] {
+    builds.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    return tiny_workload(64);
+  };
+  std::latch start(kThreads);
+  std::vector<const CachedWorkload*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = cache.get_keyed("single-flight", slow_build).get();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(builds.load(), 1);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_NE(seen[t], nullptr);
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  const StreamCacheStats st = cache.stats();
+  EXPECT_EQ(st.stream_entries, 1u);
+  EXPECT_EQ(st.stream_bytes, 64u * sizeof(std::uint64_t));
+  cache.clear();
+}
+
+TEST(StreamCache, FailedBuildReachesEveryWaiterAndRetainsNothing) {
+  auto& cache = StreamCache::instance();
+  cache.clear();
+  constexpr int kThreads = 8;
+  const auto failing_build = []() -> std::shared_ptr<CachedWorkload> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    throw std::runtime_error("build failed");
+  };
+  std::latch start(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      try {
+        (void)cache.get_keyed("throws", failing_build);
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "build failed") failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), kThreads);
+  StreamCacheStats st = cache.stats();
+  EXPECT_EQ(st.stream_entries, 0u);
+  EXPECT_EQ(st.stream_bytes, 0u);
+
+  // The key is free again: the next call builds and retains.
+  int builds = 0;
+  const auto wl = cache.get_keyed("throws", [&builds] {
+    ++builds;
+    return tiny_workload(8);
+  });
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(wl->key, "throws");
+  st = cache.stats();
+  EXPECT_EQ(st.stream_entries, 1u);
+  EXPECT_EQ(st.stream_bytes, 8u * sizeof(std::uint64_t));
+  cache.clear();
 }
 
 TEST(StreamCache, EnvOffBypassesRetention) {
