@@ -2,8 +2,18 @@
 // alongside the pipeline instead of as back-to-back states.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/experiments.hpp"
 #include "core/frame_simulator.hpp"
+#include "core/result_export.hpp"
+#include "obs/json.hpp"
+
+#ifndef MCM_WORKLOAD_DIR
+#define MCM_WORKLOAD_DIR "workloads"
+#endif
 
 namespace mcm::core {
 namespace {
@@ -93,6 +103,55 @@ TEST(ConcurrentMode, MultiFrameRunStable) {
   const auto r = FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
   EXPECT_TRUE(r.meets_realtime);
   EXPECT_GE(r.window, r.frame_period * 3);
+}
+
+/// A small kConcurrent run exported byte for byte: the config, the standard
+/// result point, and the fields only this mode fills (per-frame busy times,
+/// stage rows with the "(paced)" markers, paced completion and latency).
+/// Two frames with gop_length 2 make frame 0 an intra frame.
+std::string concurrent_golden_run() {
+  auto cfg = ExperimentConfig::paper_defaults();
+  cfg.base.channels = 2;
+  cfg.usecase.level = video::H264Level::k31;
+  cfg.sim.mode = ExecutionMode::kConcurrent;
+  cfg.sim.frames = 2;
+  cfg.sim.gop_length = 2;
+  const FrameSimResult r = FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
+
+  obs::JsonValue root = obs::JsonValue::object();
+  export_config(root["config"], cfg.base, cfg.usecase);
+  export_result(root["point"], r);
+  obs::JsonValue& con = root["concurrent"];
+  con["frames"] = cfg.sim.frames;
+  con["gop_length"] = cfg.sim.gop_length;
+  obs::JsonValue& frames = con["per_frame_access_ps"];
+  frames = obs::JsonValue::array();
+  for (const Time t : r.per_frame_access) frames.push(t.ps());
+  obs::JsonValue& stages = con["stages"];
+  stages = obs::JsonValue::array();
+  for (const StageResult& s : r.stage_results) {
+    obs::JsonValue st = obs::JsonValue::object();
+    st["name"] = s.name;
+    st["completed_ps"] = s.completed.ps();
+    st["bytes"] = s.bytes;
+    stages.push(std::move(st));
+  }
+  con["paced_last_done_ps"] = r.paced_last_done.ps();
+  obs::JsonValue& lat = con["paced_latency"];
+  lat["count"] = r.paced_latency_ns.count();
+  lat["mean_ns"] = r.paced_latency_ns.mean();
+  lat["min_ns"] = r.paced_latency_ns.min();
+  lat["max_ns"] = r.paced_latency_ns.max();
+  return root.dump_string() + "\n";
+}
+
+TEST(ConcurrentMode, OutputMatchesGoldenFixture) {
+  std::ifstream in(MCM_WORKLOAD_DIR "/concurrent_l31_2ch.golden.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture workloads/concurrent_l31_2ch.golden.json";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(concurrent_golden_run(), golden.str());
 }
 
 }  // namespace
