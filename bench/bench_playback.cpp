@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "core/experiments.hpp"
-#include "core/source_runner.hpp"
+#include "core/frame_simulator.hpp"
 #include "load/playback_sources.hpp"
 #include "video/playback.hpp"
 
@@ -25,11 +25,22 @@ int main() {
     pb.level = level;
     const video::PlaybackModel playback(pb);
 
-    // Run playback on a single channel.
+    // Run playback on a single channel: one frame of back-to-back stages.
     auto cfg = core::ExperimentConfig::paper_defaults().base;
     cfg.channels = 1;
-    auto result = core::run_stage_sources(
-        cfg, load::build_playback_sources(playback), playback.frame_period());
+    multichannel::MemorySystem sys(cfg);
+    const auto out = core::run_sequential_frames(
+        sys, 1,
+        [&](std::size_t) {
+          std::vector<core::FeedSource> stages;
+          for (auto& src : load::build_playback_sources(playback)) {
+            stages.push_back({std::move(src)});
+          }
+          return stages;
+        },
+        playback.frame_period());
+    const auto result = core::assemble_result(
+        sys, out, playback.frame_period(), playback.total_mb_per_second() * 1e6);
 
     const auto& spec = video::level_spec(level);
     char fmt[48];

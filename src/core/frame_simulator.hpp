@@ -10,11 +10,17 @@
 // tail of the frame period is idle: the power-down governor and refresh
 // catch-up run there, which is what keeps multi-channel average power close
 // to single-channel (Fig. 5's main observation).
+//
+// kStateMachine runs replay the memoized per-frame stream on the sharded
+// engine; kConcurrent runs feed live stage sources, with the display and
+// audio as paced masters, through the sequential loop. Both modes, and
+// workload::run_workload, build their result with assemble_result.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/sharded_engine.hpp"
 #include "load/usecase_sources.hpp"
 #include "multichannel/memory_system.hpp"
 #include "video/surfaces.hpp"
@@ -57,10 +63,6 @@ struct FrameSimOptions {
   /// Results are byte-identical at every setting.
   unsigned sim_chunk = 0;
 
-  /// Force the historical sequential feed loop instead of the sharded
-  /// engine (equivalence tests; kConcurrent always uses it).
-  bool legacy_feed = false;
-
   /// When non-empty, stream the full DRAM command + request-span trace of
   /// the run to this file as JSONL (schema mcm.trace/v1). Empty = no
   /// tracing; the only per-command cost is a null-pointer check.
@@ -81,12 +83,6 @@ struct FrameSimOptions {
   bool profile = false;
   std::string prof_path;
   std::string prof_trace_path;
-};
-
-struct StageResult {
-  std::string name;
-  Time completed;            // absolute completion time (first frame)
-  std::uint64_t bytes = 0;
 };
 
 struct FrameSimResult {
@@ -118,6 +114,16 @@ struct FrameSimResult {
   /// Busy time of each simulated frame (GOP structures alternate I/P costs).
   std::vector<Time> per_frame_access;
 };
+
+/// The one result assembler. Finalizes `sys` over the power window
+/// max(end of the last frame, frames x period), then derives every field of
+/// the result from the feed's bookkeeping: mean access time, the real-time
+/// verdicts (the margin held back for data processing), bandwidth against
+/// `demand_bps`, stats, power, stage rows and paced-master measures.
+[[nodiscard]] FrameSimResult assemble_result(multichannel::MemorySystem& sys,
+                                             const ShardedRunOutput& out,
+                                             Time period, double demand_bps,
+                                             double processing_margin = 0.15);
 
 class FrameSimulator {
  public:

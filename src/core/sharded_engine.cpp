@@ -233,8 +233,8 @@ void serial_step(Shared& sh, std::size_t i) {
   sh.stage_start = max(sh.stage_start, last);
   if (s.frame == 0) {
     const std::uint64_t bytes = s.stage->reqs.size() * s.burst;
-    sh.out.first_frame_stages.emplace_back(s.stage->name, bytes);
-    sh.out.first_frame_completed.push_back(sh.stage_start);
+    sh.out.first_frame_stages.push_back(
+        StageResult{s.stage->name, sh.stage_start, bytes});
     sh.out.bytes_first_frame += bytes;
   }
   if (s.last_of_frame) {
@@ -918,45 +918,127 @@ ShardedRunOutput run_sharded_frames(
   return sh.out;
 }
 
-ShardedRunOutput run_sequential_frames(
-    multichannel::MemorySystem& sys,
-    const std::vector<const load::CachedWorkload*>& frame_workloads,
-    Time period) {
+ShardedRunOutput run_sequential_frames(multichannel::MemorySystem& sys,
+                                       std::size_t frames, const FrameFeed& feed,
+                                       Time period) {
+  static const obs::prof::PhaseId kFeed = obs::prof::phase_id("sim/feed");
+  static const obs::prof::PhaseId kDrain = obs::prof::phase_id("sim/drain");
+  const std::uint32_t burst = sys.config().device.org.bytes_per_burst();
   ShardedRunOutput out;
   Time t = Time::zero();
-  for (std::size_t f = 0; f < frame_workloads.size(); ++f) {
-    const load::CachedWorkload* wl = frame_workloads[f];
-    assert(!wl->stages.empty());
+  for (std::size_t frame = 0; frame < frames; ++frame) {
     const Time frame_start = t;
+    std::vector<FeedSource> sources = feed(frame);
+
+    std::vector<load::TrafficSource*> paced;
+    for (FeedSource& s : sources) {
+      if (!s.paced) continue;
+      s.source->set_start(frame_start);
+      s.source->set_pacing(period);
+      paced.push_back(s.source.get());
+    }
+
     Time stage_start = frame_start;
-    for (const load::CachedStage& stage : wl->stages) {
-      Time last_done = stage_start;
-      for (const std::uint64_t packed : stage.reqs) {
-        ctrl::Request r;
-        r.addr = load::CachedStage::addr_of(packed);  // global; submit routes
-        r.is_write = load::CachedStage::is_write_of(packed);
-        r.arrival = stage_start;
-        r.source = stage.source_id;
-        while (!sys.try_submit(r)) {
-          const auto c = sys.process_next();
-          assert(c.has_value());  // a full queue implies pending work
-          last_done = max(last_done, c->done);
+    Time stage_last_done = frame_start;
+    std::uint16_t stage_id = 0xffff;
+
+    // With paced masters beside it, a completion belongs to the stage only
+    // when it carries the stage's source id.
+    const auto on_complete = [&](const ctrl::Completion& c) {
+      if (paced.empty() || c.req.source == stage_id) {
+        stage_last_done = max(stage_last_done, c.done);
+      } else {
+        out.paced_last_done = max(out.paced_last_done, c.done);
+        out.paced_latency_ns.add(c.latency().ns());
+      }
+    };
+
+    // The paced master with the earliest pending request (merge display and
+    // audio by arrival so neither starves behind the other's future-dated
+    // requests).
+    const auto next_paced = [&]() -> load::TrafficSource* {
+      load::TrafficSource* best = nullptr;
+      for (load::TrafficSource* p : paced) {
+        if (p->done()) continue;
+        if (best == nullptr || p->head().arrival < best->head().arrival) best = p;
+      }
+      return best;
+    };
+
+    // Feed every paced request whose arrival the system has reached. The
+    // paced masters have priority: when their target queue is full, the
+    // memory system is driven until a slot frees (a display underflow is a
+    // visible artifact, so real arbiters give scan-out the highest
+    // priority).
+    const auto feed_paced = [&](Time up_to) {
+      while (load::TrafficSource* p = next_paced()) {
+        if (p->head().arrival > up_to) break;
+        if (sys.try_submit(p->head())) {
+          p->advance();
+          if (frame == 0) out.bytes_first_frame += burst;
+        } else if (auto c = sys.process_next()) {
+          on_complete(*c);
+        } else {
+          break;
         }
       }
+    };
+
+    for (FeedSource& s : sources) {
+      load::TrafficSource& src = *s.source;
+      if (s.paced) {
+        if (frame == 0) {
+          out.first_frame_stages.push_back(
+              StageResult{std::string(src.name()) + " (paced)", stage_start, 0});
+        }
+        continue;  // fed by feed_paced alongside the stages
+      }
+      src.set_start(stage_start);
+      stage_last_done = stage_start;
+      std::uint64_t stage_bytes = 0;
+      stage_id = src.done() ? 0xffff : src.head().source;
+      const bool pon = obs::prof::enabled();
+      const std::int64_t t_feed0 = pon ? obs::prof::now_ns() : 0;
+      while (!src.done()) {
+        if (!paced.empty()) feed_paced(sys.max_horizon());
+        if (sys.try_submit(src.head())) {
+          src.advance();
+          stage_bytes += burst;
+        } else if (auto c = sys.process_next()) {
+          on_complete(*c);
+        }
+      }
+      const std::int64_t t_drain0 = pon ? obs::prof::now_ns() : 0;
       // Stage barrier: the next stage consumes this stage's output frame.
-      while (const auto c = sys.process_next()) last_done = max(last_done, c->done);
-      stage_start = max(stage_start, last_done);
-      if (f == 0) {
-        const std::uint64_t bytes = stage.reqs.size() * wl->burst_bytes;
-        out.first_frame_stages.emplace_back(stage.name, bytes);
-        out.first_frame_completed.push_back(stage_start);
-        out.bytes_first_frame += bytes;
+      while (auto c = sys.process_next()) on_complete(*c);
+      if (pon) {
+        const std::int64_t t_end = obs::prof::now_ns();
+        obs::prof::tally(kFeed, t_drain0 - t_feed0);
+        obs::prof::tally(kDrain, t_end - t_drain0);
+      }
+      stage_start = max(stage_start, stage_last_done);
+      if (frame == 0) {
+        out.first_frame_stages.push_back(
+            StageResult{std::string(src.name()), stage_start, stage_bytes});
+        out.bytes_first_frame += stage_bytes;
       }
     }
+
     const Time busy = stage_start - frame_start;
     out.access_accum += busy;
     out.per_frame_access.push_back(busy);
-    t = max(frame_start + period, stage_start);
+
+    // Finish the remaining paced traffic (it trickles into the idle tail),
+    // still in arrival order.
+    if (!paced.empty()) {
+      stage_id = 0xffff;  // every completion from here on is paced
+      feed_paced(Time::max());
+      while (auto c = sys.process_next()) on_complete(*c);
+    }
+
+    // The next frame starts at the sensor cadence, or immediately when the
+    // system is running behind real time.
+    t = max(frame_start + period, max(stage_start, out.paced_last_done));
   }
   out.end_time = t;
   return out;

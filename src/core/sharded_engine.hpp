@@ -1,8 +1,9 @@
 // Channel-sharded execution of the paper's state-machine load model.
 //
-// The sequential feed loop (core::FrameSimulator) interleaves channels
-// through one heap; this engine runs each channel as an independent logical
-// process and keeps the results bit-identical via the *threshold protocol*:
+// The sequential feed loop (core::run_sequential_frames, below) interleaves
+// channels through one heap; this engine runs each channel as an independent
+// logical process and keeps the results bit-identical via the *threshold
+// protocol*:
 //
 //   for request r -> channel j, in stream order (position p):
 //     1. j applies the max of thresholds published since its previous
@@ -61,23 +62,35 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "common/stats.hpp"
+#include "load/source.hpp"
 #include "load/stream_cache.hpp"
 #include "multichannel/memory_system.hpp"
 
 namespace mcm::core {
 
-struct StageResult;  // frame_simulator.hpp
+struct StageResult {
+  std::string name;
+  Time completed;            // absolute completion time (first frame)
+  std::uint64_t bytes = 0;
+};
 
-/// Bookkeeping the frame loop produces (mirrors the sequential path).
+/// Bookkeeping the frame loop produces; both feeds fill it the same way.
 struct ShardedRunOutput {
   Time end_time = Time::zero();      // t after the last frame
   Time access_accum = Time::zero();  // sum of per-frame busy times
   std::vector<Time> per_frame_access;
   std::uint64_t bytes_first_frame = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> first_frame_stages;
-  std::vector<Time> first_frame_completed;  // parallel to first_frame_stages
+  std::vector<StageResult> first_frame_stages;
+  /// Paced masters only (sequential feed): when their traffic finished
+  /// (absolute, last frame) and its per-request service latency.
+  Time paced_last_done = Time::zero();
+  Accumulator paced_latency_ns;
 };
 
 /// Run `frame_workloads.size()` frames (entry f = frame f's memoized
@@ -92,15 +105,31 @@ ShardedRunOutput run_sharded_frames(
     const std::vector<const load::CachedWorkload*>& frame_workloads,
     Time period, unsigned sim_threads, unsigned sim_chunk = 0);
 
-/// The sequential feed loop (one heap, `while (!try_submit) process_next`)
-/// over the same memoized streams: the legacy-equivalent semantics the
-/// threshold protocol above reproduces. Kept as a first-class entry point so
-/// the differential verifier can pit the two feeds against each other and
-/// against the golden reference model.
-ShardedRunOutput run_sequential_frames(
-    multichannel::MemorySystem& sys,
-    const std::vector<const load::CachedWorkload*>& frame_workloads,
-    Time period);
+/// One source of a frame in the sequential feed. A stage source issues its
+/// requests back to back and ends at a barrier (the next stage consumes its
+/// output). A paced source is a master that runs beside the stages instead
+/// (kConcurrent's display and audio): it is paced over the frame period and
+/// fed by arrival against the system's horizon, ahead of the stage, and its
+/// stage row reads "<name> (paced)" with no bytes.
+struct FeedSource {
+  std::unique_ptr<load::TrafficSource> source;
+  bool paced = false;
+};
+
+/// Frame f's sources in issue order. Called once per frame, at its start, so
+/// live sources exist for one frame at a time.
+using FrameFeed = std::function<std::vector<FeedSource>(std::size_t frame)>;
+
+/// The sequential feed loop (one heap, `while (!try_submit) process_next`):
+/// the semantics the threshold protocol above reproduces, and the only feed
+/// that runs paced masters. Each frame starts at max(previous start +
+/// period, end of its last stage, end of its paced traffic). Tallies the
+/// sim/feed and sim/drain profiler phases per stage.
+/// Callers holding memoized streams replay each stage through a
+/// load::CachedStageSource.
+ShardedRunOutput run_sequential_frames(multichannel::MemorySystem& sys,
+                                       std::size_t frames, const FrameFeed& feed,
+                                       Time period);
 
 /// MCM_SIM_THREADS when set to a positive integer, else 1. Intra-point
 /// parallelism is opt-in: exploration already parallelizes across points.

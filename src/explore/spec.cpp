@@ -314,14 +314,13 @@ ExperimentSpec ExperimentSpec::from_config(const Config& cfg) {
     } else if (key == "base.seed") {
       spec.base_seed = static_cast<std::uint64_t>(cfg.get_int(key, 1));
     } else if (key == "base.frames") {
-      spec.base.sim.frames = static_cast<int>(cfg.get_int(key, 1));
+      spec.base.sim.frames = static_cast<int>(parse_u32_token(trim(value), key));
     } else if (key == "base.gop_length") {
       spec.base.sim.gop_length = static_cast<int>(cfg.get_int(key, 0));
     } else if (key == "base.processing_margin") {
       spec.base.sim.processing_margin = cfg.get_double(key, 0.15);
     } else if (key == "base.queue_depth") {
-      spec.base.base.controller.queue_depth =
-          static_cast<std::uint32_t>(cfg.get_int(key, 8));
+      spec.base.base.controller.queue_depth = parse_u32_token(trim(value), key);
     } else if (key == "base.powerdown_idle_cycles") {
       spec.base.base.controller.powerdown_idle_cycles =
           static_cast<int>(cfg.get_int(key, 1));

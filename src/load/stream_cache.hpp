@@ -58,6 +58,38 @@ struct CachedStage {
   }
 };
 
+/// Replays one cached stage as a TrafficSource, every request arriving at
+/// the stage start (the state-machine load model). The stage must outlive
+/// the source.
+class CachedStageSource final : public TrafficSource {
+ public:
+  CachedStageSource(const CachedStage& stage, std::uint32_t burst_bytes)
+      : stage_(stage), burst_(burst_bytes) {}
+
+  [[nodiscard]] bool done() const override { return pos_ == stage_.reqs.size(); }
+  [[nodiscard]] ctrl::Request head() const override {
+    const std::uint64_t packed = stage_.reqs[pos_];
+    ctrl::Request r;
+    r.addr = CachedStage::addr_of(packed);  // global; submit routes
+    r.is_write = CachedStage::is_write_of(packed);
+    r.arrival = start_;
+    r.source = stage_.source_id;
+    return r;
+  }
+  void advance() override { ++pos_; }
+  [[nodiscard]] std::uint64_t total_bytes() const override {
+    return stage_.reqs.size() * burst_;
+  }
+  [[nodiscard]] std::string_view name() const override { return stage_.name; }
+  void set_start(Time t) override { start_ = t; }
+
+ private:
+  const CachedStage& stage_;
+  std::uint32_t burst_;
+  std::size_t pos_ = 0;
+  Time start_ = Time::zero();
+};
+
 struct CachedWorkload {
   std::vector<CachedStage> stages;  // Fig. 1 processing order
   std::uint32_t burst_bytes = 0;

@@ -4,6 +4,7 @@
 // for memory simulation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,6 +46,14 @@ struct SystemConfig {
   std::uint32_t vault_group = 0;
 
   [[nodiscard]] bool heterogeneous() const { return !channel_classes.empty(); }
+
+  /// Where video surfaces and workload tenant partitions start: on a whole
+  /// interleave stripe across all channels (at least 64 KiB), so the load
+  /// per channel is the same at every channel count.
+  [[nodiscard]] std::uint64_t stripe_alignment() const {
+    return std::max<std::uint64_t>(
+        64 * 1024, static_cast<std::uint64_t>(interleave_bytes) * channels);
+  }
 
   /// Class bound by channel `ch` (kMobileDdr when no classes configured).
   [[nodiscard]] dram::DeviceClass channel_class(std::uint32_t ch) const {

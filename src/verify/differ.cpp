@@ -3,7 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/sharded_engine.hpp"
+#include "core/frame_simulator.hpp"
 #include "dram/energy.hpp"
 #include "load/stream_cache.hpp"
 #include "multichannel/memory_system.hpp"
@@ -102,21 +102,29 @@ Outcome run_production(const Scenario& s) {
 
   const Time period{s.period_ps};
   const core::ShardedRunOutput run =
-      s.legacy_feed ? core::run_sequential_frames(sys, frames, period)
-                    : core::run_sharded_frames(sys, frames, period, s.sim_threads);
-
-  const Time window =
-      max(run.end_time, period * static_cast<std::int64_t>(s.frames.size()));
-  sys.finalize(window);
+      s.legacy_feed
+          ? core::run_sequential_frames(
+                sys, frames.size(),
+                [&](std::size_t f) {
+                  std::vector<core::FeedSource> stages;
+                  for (const load::CachedStage& st : workloads[f].stages) {
+                    stages.push_back({std::make_unique<load::CachedStageSource>(
+                        st, workloads[f].burst_bytes)});
+                  }
+                  return stages;
+                },
+                period)
+          : core::run_sharded_frames(sys, frames, period, s.sim_threads);
+  const Time window = core::assemble_result(sys, run, period, 0.0).window;
 
   Outcome o;
   o.end_time_ps = run.end_time.ps();
   o.window_ps = window.ps();
   for (const Time t : run.per_frame_access) o.per_frame_access_ps.push_back(t.ps());
-  for (std::size_t i = 0; i < run.first_frame_stages.size(); ++i) {
-    o.stage_names.push_back(run.first_frame_stages[i].first);
-    o.stage_bytes.push_back(run.first_frame_stages[i].second);
-    o.stage_completed_ps.push_back(run.first_frame_completed[i].ps());
+  for (const core::StageResult& st : run.first_frame_stages) {
+    o.stage_names.push_back(st.name);
+    o.stage_bytes.push_back(st.bytes);
+    o.stage_completed_ps.push_back(st.completed.ps());
   }
 
   o.channels.reserve(sys.channel_count());

@@ -447,6 +447,7 @@ std::optional<Scenario> scenario_from_json(const obs::JsonValue& doc,
     if (const auto* v = c->find("max_skips")) s.max_skips = static_cast<std::uint32_t>(v->as_uint(s.max_skips));
     if (const auto* v = c->find("stream_row_hits")) s.stream_row_hits = v->as_bool(s.stream_row_hits);
   }
+  if (s.queue_depth == 0) return fail("controller.queue_depth: must be at least 1");
   if (const auto* v = doc.find("request_interval_cycles")) s.request_interval_cycles = static_cast<int>(v->as_int(s.request_interval_cycles));
   if (const auto* v = doc.find("interconnect_latency_ps")) s.interconnect_latency_ps = v->as_int(s.interconnect_latency_ps);
   if (const auto* v = doc.find("period_ps")) s.period_ps = v->as_int(s.period_ps);

@@ -149,7 +149,6 @@ obs::JsonValue workload_to_json(const WorkloadSpec& s) {
   doc["frames"] = s.frames;
   doc["period_ps"] = s.period_ps;
   if (s.sim_threads != 0) doc["sim_threads"] = s.sim_threads;
-  if (s.legacy_feed) doc["legacy_feed"] = true;
   auto& tenants = doc["tenants"];
   tenants = obs::JsonValue::array();
   for (const auto& t : s.tenants) {
@@ -222,7 +221,6 @@ std::optional<WorkloadSpec> workload_from_json(const obs::JsonValue& doc,
   if (const auto* v = doc.find("sim_threads")) {
     s.sim_threads = static_cast<unsigned>(v->as_uint(0));
   }
-  if (const auto* v = doc.find("legacy_feed")) s.legacy_feed = v->as_bool();
 
   if (s.channels == 0) return bail("channels must be positive");
   if (!s.channel_classes.empty() && s.channel_classes.size() != s.channels) {

@@ -73,7 +73,6 @@ struct WorkloadSpec {
   int frames = 1;
   std::int64_t period_ps = 33'333'333'333;  // 30 fps frame period
   unsigned sim_threads = 0;             // 0 = MCM_SIM_THREADS
-  bool legacy_feed = false;             // sequential feed loop (verification)
 
   std::vector<TenantSpec> tenants;
 

@@ -257,11 +257,8 @@ CompileContext make_context(const WorkloadSpec& spec) {
   CompileContext ctx;
   ctx.cfg = spec.system_config();
   ctx.burst = ctx.cfg.device.org.bytes_per_burst();
-  // Same placement rule as the video surface allocator: partitions start on
-  // a whole interleave stripe so per-channel load is channel-count invariant.
-  const std::uint64_t stripe =
-      static_cast<std::uint64_t>(ctx.cfg.interleave_bytes) * ctx.cfg.channels;
-  ctx.align = std::max<std::uint64_t>(64 * 1024, stripe);
+  // Same placement rule as the video surface allocator.
+  ctx.align = ctx.cfg.stripe_alignment();
   // Per-channel sum, not base x channels: heterogeneous classes bind
   // different die sizes (identical for homogeneous systems).
   std::uint64_t capacity = 0;
@@ -325,38 +322,9 @@ WorkloadRunResult run_workload(const WorkloadSpec& spec) {
   const Time period{spec.period_ps};
 
   const core::ShardedRunOutput out =
-      spec.legacy_feed
-          ? core::run_sequential_frames(sys, frames, period)
-          : core::run_sharded_frames(sys, frames, period, spec.sim_threads);
-
-  const Time window = max(out.end_time, period * spec.frames);
-  sys.finalize(window);
-
-  core::FrameSimResult& r = result.sim;
-  r.frame_period = period;
-  r.window = window;
-  r.access_time = Time{out.access_accum.ps() / spec.frames};
-  r.per_frame_access = out.per_frame_access;
-  r.bytes_per_frame = out.bytes_first_frame;
-  for (std::size_t i = 0; i < out.first_frame_stages.size(); ++i) {
-    r.stage_results.push_back(core::StageResult{out.first_frame_stages[i].first,
-                                                out.first_frame_completed[i],
-                                                out.first_frame_stages[i].second});
-  }
-  r.meets_realtime = r.access_time <= period;
-  r.meets_realtime_with_margin =
-      r.access_time.seconds() <= period.seconds() * (1.0 - 0.15);
-  r.achieved_bandwidth_bytes_per_s =
-      r.access_time > Time::zero()
-          ? static_cast<double>(r.bytes_per_frame) / r.access_time.seconds()
-          : 0.0;
-  r.demand_bandwidth_bytes_per_s =
-      static_cast<double>(r.bytes_per_frame) / period.seconds();
-  r.stats = sys.stats();
-  r.power = sys.power(window);
-  r.dram_power_mw = r.power.dram_mw;
-  r.interface_power_mw = r.power.interface_mw;
-  r.total_power_mw = r.power.total_mw;
+      core::run_sharded_frames(sys, frames, period, spec.sim_threads);
+  result.sim = core::assemble_result(
+      sys, out, period, static_cast<double>(out.bytes_first_frame) / period.seconds());
   return result;
 }
 

@@ -12,8 +12,8 @@
 // keeps composed workloads byte-identical at any MCM_SIM_THREADS.
 //
 // Compiled streams memoize through load::StreamCache::get_keyed with
-// WorkloadSpec::cache_key(), so sweeps over engine knobs (threads, feed)
-// re-enumerate nothing.
+// WorkloadSpec::cache_key(), so sweeps over engine knobs (threads) re-enumerate
+// nothing.
 #pragma once
 
 #include <memory>
@@ -56,8 +56,8 @@ struct WorkloadRunResult {
 };
 
 /// Compile and simulate: `frames` repetitions of the composed stream with a
-/// `period_ps` cadence, through the sharded engine (or the sequential feed
-/// when legacy_feed is set). Deterministic at any sim_threads setting.
+/// `period_ps` cadence, through the sharded engine. Deterministic at any
+/// sim_threads setting.
 [[nodiscard]] WorkloadRunResult run_workload(const WorkloadSpec& spec);
 
 /// Enumerate the composed merged stream of one frame with its merge-order

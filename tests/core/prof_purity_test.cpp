@@ -75,5 +75,26 @@ TEST_F(ProfPurityTest, ProfiledRunsMatchAcrossThreadCounts) {
   EXPECT_EQ(t1, t4);
 }
 
+TEST_F(ProfPurityTest, ConcurrentRunTalliesFeedAndDrainPerStage) {
+  // The sequential feed's per-stage sim/feed and sim/drain tallies are how
+  // a profiled kConcurrent run splits its engine time from finalize.
+  ExperimentConfig cfg = ExperimentConfig::paper_defaults();
+  cfg.usecase.level = video::H264Level::k31;
+  cfg.base.channels = 2;
+  cfg.sim.mode = ExecutionMode::kConcurrent;
+  cfg.sim.profile = true;
+  const FrameSimResult result = FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
+
+  const obs::prof::ProfileReport rep = obs::prof::collect(true);
+  const std::uint64_t stages = result.stage_results.size() - 2;  // two paced
+  for (const char* name : {"sim/feed", "sim/drain"}) {
+    const obs::prof::ProfilePhase* ph = rep.find(name);
+    ASSERT_NE(ph, nullptr) << name;
+    EXPECT_GT(ph->wall_ns, 0) << name;
+    EXPECT_EQ(ph->calls, stages) << name;
+  }
+  EXPECT_NE(rep.find("sim/finalize"), nullptr);
+}
+
 }  // namespace
 }  // namespace mcm::core

@@ -98,9 +98,10 @@ void expect_identical(const RunResult& a, const RunResult& b,
   }
   ASSERT_EQ(a.out.first_frame_stages.size(), b.out.first_frame_stages.size());
   for (std::size_t i = 0; i < a.out.first_frame_stages.size(); ++i) {
-    EXPECT_EQ(a.out.first_frame_stages[i], b.out.first_frame_stages[i]);
-    EXPECT_EQ(a.out.first_frame_completed[i].ps(),
-              b.out.first_frame_completed[i].ps());
+    EXPECT_EQ(a.out.first_frame_stages[i].name, b.out.first_frame_stages[i].name);
+    EXPECT_EQ(a.out.first_frame_stages[i].bytes, b.out.first_frame_stages[i].bytes);
+    EXPECT_EQ(a.out.first_frame_stages[i].completed.ps(),
+              b.out.first_frame_stages[i].completed.ps());
   }
 
   EXPECT_EQ(a.stats.reads, b.stats.reads);

@@ -87,6 +87,30 @@ TEST(ExperimentSpec, RejectsUnknownAndMalformedKeys) {
                ConfigError);
 }
 
+/// The ConfigError message `text` raises, or "" when it parses.
+std::string spec_error(const char* text) {
+  try {
+    (void)ExperimentSpec::from_config(Config::from_string(text));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExperimentSpec, RejectsZeroFrames) {
+  // Every point divides its access time by the frame count.
+  EXPECT_NE(spec_error("base.frames = 0").find("base.frames"), std::string::npos);
+  EXPECT_NE(spec_error("base.frames = -1").find("base.frames"), std::string::npos);
+  EXPECT_EQ(spec_error("base.frames = 3"), "");
+}
+
+TEST(ExperimentSpec, RejectsZeroQueueDepth) {
+  // A zero-depth queue can never accept a request.
+  EXPECT_NE(spec_error("base.queue_depth = 0").find("base.queue_depth"),
+            std::string::npos);
+  EXPECT_EQ(spec_error("base.queue_depth = 4"), "");
+}
+
 TEST(ExperimentSpec, EmptyAxisRefusesToExpand) {
   ExperimentSpec spec;
   spec.channels.clear();

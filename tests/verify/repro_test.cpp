@@ -51,6 +51,16 @@ TEST(Repro, RejectsWrongSchema) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Repro, RejectsZeroQueueDepth) {
+  // A zero-depth queue can never accept a request; replaying one must fail
+  // at load with the key named, not crash in the feed.
+  obs::JsonValue doc = scenario_to_json(random_scenario(7));
+  doc["controller"]["queue_depth"] = 0;
+  std::string error;
+  EXPECT_FALSE(scenario_from_json(doc, &error).has_value());
+  EXPECT_NE(error.find("controller.queue_depth"), std::string::npos) << error;
+}
+
 TEST(Repro, CommittedIgnoreTrasReproStillDiverges) {
   std::string error;
   const auto loaded =

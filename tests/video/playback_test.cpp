@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/source_runner.hpp"
+#include "core/frame_simulator.hpp"
 #include "load/playback_sources.hpp"
 #include "video/usecase.hpp"
 
@@ -72,12 +72,24 @@ TEST(Playback, SingleChannelServes1080pPlayback) {
   cfg.channels = 1;
   cfg.controller.queue_depth = 8;
   const auto m = model_for(H264Level::k40);
-  const auto r = core::run_stage_sources(cfg, load::build_playback_sources(m),
-                                         m.frame_period());
+  multichannel::MemorySystem sys(cfg);
+  const auto out = core::run_sequential_frames(
+      sys, 1,
+      [&](std::size_t) {
+        std::vector<core::FeedSource> stages;
+        for (auto& src : load::build_playback_sources(m)) {
+          stages.push_back({std::move(src)});
+        }
+        return stages;
+      },
+      m.frame_period());
+  const auto r = core::assemble_result(sys, out, m.frame_period(),
+                                       m.total_mb_per_second() * 1e6);
   EXPECT_LT(r.access_time, m.frame_period());
   EXPECT_GT(r.total_power_mw, 0.0);
+  EXPECT_EQ(r.stage_results.size(), m.stages().size());
   // Volume served matches the model.
-  EXPECT_NEAR(static_cast<double>(r.bytes), m.total_bits_per_frame() / 8.0,
+  EXPECT_NEAR(static_cast<double>(r.bytes_per_frame), m.total_bits_per_frame() / 8.0,
               m.total_bits_per_frame() / 8.0 * 0.01);
 }
 

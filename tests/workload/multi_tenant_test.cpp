@@ -151,13 +151,16 @@ TEST_F(SmallMixedWorkload, ByteIdenticalReportsAcrossSimThreads) {
 }
 
 TEST_F(SmallMixedWorkload, LegacyFeedAgreesWithShardedEngine) {
-  const auto sharded = run_workload(spec_);
-  WorkloadSpec legacy_spec = spec_;
-  legacy_spec.legacy_feed = true;
-  const auto legacy = run_workload(legacy_spec);
-  EXPECT_EQ(sharded.sim.access_time, legacy.sim.access_time);
-  EXPECT_EQ(sharded.sim.stats.bytes, legacy.sim.stats.bytes);
-  EXPECT_EQ(sharded.sim.stats.row_hits, legacy.sim.stats.row_hits);
+  // The composed stream through production's sequential feed and through
+  // the sharded engine: every compared outcome (commands, counters, energy,
+  // frame and stage bookkeeping) must match.
+  verify::Scenario sharded = verify::scenario_from_workload(spec_);
+  sharded.sim_threads = 2;
+  verify::Scenario sequential = sharded;
+  sequential.legacy_feed = true;
+  const auto divergence = verify::compare_outcomes(
+      verify::run_production(sequential), verify::run_production(sharded));
+  EXPECT_FALSE(divergence.has_value()) << *divergence;
 }
 
 TEST_F(SmallMixedWorkload, CleanUnderTheDifferentialVerifier) {
